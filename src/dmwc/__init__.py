@@ -23,7 +23,7 @@ from .pipeline import (
     solve_vertex,
     verify_solution,
 )
-from .sampling import CandidateFamily, deterministic_sets, random_set, splitter_family
+from .sampling import CandidateFamily, deterministic_sets, random_set
 from .separators import (
     ImportantCollection,
     Separator,
@@ -56,7 +56,6 @@ __all__ = [
     "is_thin",
     "is_shadowless",
     "random_set",
-    "splitter_family",
     "deterministic_sets",
     "torso",
     "reduce_instance",

@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 = solved / feasible / verified, 1 = no solution (or failed
-verification), 2 = input error.  The machine-readable result goes to stdout
-("SOLUTION k v1 ... vk" or "NO"); human-readable notes go to stderr.
+Exit codes: 0 = solved / feasible / verified, 1 = no solution (or a solution
+file that fails `verify`), 2 = input error.  The machine-readable result goes
+to stdout ("SOLUTION k v1 ... vk" or "NO"); human-readable notes go to stderr.
+A solver answer that fails its own re-verification is a bug: the RuntimeError
+propagates and nothing is printed to stdout.
 """
 
 from __future__ import annotations
@@ -119,12 +121,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if budget < 0:
         print("error: budget must be non-negative", file=sys.stderr)
         return 2
+    if args.min_budget_search and args.mode != "deterministic":
+        # bisection needs feasibility to be monotone in the budget, which a
+        # single randomized pass is not
+        print("error: --min-budget-search requires --mode deterministic", file=sys.stderr)
+        return 2
     sol = _solve_file(pf, budget, args.mode, seed)
     if sol is None:
         print("NO")
         return 1
     if args.min_budget_search:
-        # feasibility is monotone in the budget, so bisect below the hit
+        # deterministic feasibility is monotone in the budget, so bisect
+        # below the hit
         lo, hi = 0, budget  # hi is known feasible
         best = sol
         while lo < hi:

@@ -17,11 +17,13 @@ order), so parse and serialize round-trip exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .graph import Digraph, Instance
 
 KINDS = ("vertex", "edge", "multicut2")
+_TOKEN = re.compile(r"\S+")
 
 
 class FormatError(ValueError):
@@ -68,13 +70,20 @@ def parse(text: str) -> ProblemFile:
     pairs: list[tuple[int, int]] = []
     extra_inf: list[int] = []
     edges: list[tuple[int, int]] = []
+    # every vertex id with its (line, column), range-checked once n is known
+    placed: list[tuple[int, int, int]] = []
+
+    def vertex_id(token: str, line_no: int, column: int) -> int:
+        v = _int_token(token, line_no, column)
+        placed.append((v, line_no, column))
+        return v
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
+        found = list(_TOKEN.finditer(raw.split("#", 1)[0]))
+        if not found:
             continue
-        columns = [line.index(tok) + 1 for tok in tokens]
+        tokens = [m.group() for m in found]
+        columns = [m.start() + 1 for m in found]
         key, args = tokens[0], tokens[1:]
 
         def need(count: int) -> None:
@@ -93,13 +102,19 @@ def parse(text: str) -> ProblemFile:
                 raise FormatError(f"unknown problem kind {args[0]!r}", line_no, columns[1])
             kind = args[0]
             continue
+        if key == "dmwc":
+            raise FormatError("duplicate 'dmwc' header", line_no, columns[0])
         if key == "n":
             need(1)
+            if n is not None:
+                raise FormatError("duplicate 'n' line", line_no, columns[0])
             n = _int_token(args[0], line_no, columns[1])
             if n < 0:
                 raise FormatError("vertex count must be non-negative", line_no, columns[1])
         elif key == "p":
             need(1)
+            if budget is not None:
+                raise FormatError("duplicate 'p' line", line_no, columns[0])
             budget = _int_token(args[0], line_no, columns[1])
             if budget < 0:
                 raise FormatError("budget must be non-negative", line_no, columns[1])
@@ -107,26 +122,26 @@ def parse(text: str) -> ProblemFile:
             need(1)
             if kind == "multicut2":
                 raise FormatError("'t' lines are not valid in multicut2 files", line_no, columns[0])
-            terminals.append(_int_token(args[0], line_no, columns[1]))
+            terminals.append(vertex_id(args[0], line_no, columns[1]))
         elif key == "pair":
             need(2)
             if kind != "multicut2":
                 raise FormatError("'pair' lines require the multicut2 kind", line_no, columns[0])
             pairs.append(
                 (
-                    _int_token(args[0], line_no, columns[1]),
-                    _int_token(args[1], line_no, columns[2]),
+                    vertex_id(args[0], line_no, columns[1]),
+                    vertex_id(args[1], line_no, columns[2]),
                 )
             )
         elif key == "inf":
             need(1)
-            extra_inf.append(_int_token(args[0], line_no, columns[1]))
+            extra_inf.append(vertex_id(args[0], line_no, columns[1]))
         elif key == "e":
             need(2)
             edges.append(
                 (
-                    _int_token(args[0], line_no, columns[1]),
-                    _int_token(args[1], line_no, columns[2]),
+                    vertex_id(args[0], line_no, columns[1]),
+                    vertex_id(args[1], line_no, columns[2]),
                 )
             )
         else:
@@ -147,12 +162,9 @@ def parse(text: str) -> ProblemFile:
     infinite = set(extra_inf)
     if kind != "multicut2":
         infinite |= set(terminals)
-    for v in [*terminals, *extra_inf, *(x for pr in pairs for x in pr)]:
+    for v, line_no, column in placed:
         if not 0 <= v < n:
-            raise FormatError(f"vertex id {v} out of range", 1)
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"edge ({u},{v}) out of range", 1)
+            raise FormatError(f"vertex id {v} out of range 0..{n - 1}", line_no, column)
     graph = Digraph(n, edges, infinite)
     return ProblemFile(
         kind,

@@ -5,9 +5,13 @@ The deterministic solver branches over candidate removal sets: an outer
 family for the original graph, and for each outer choice an inner family for
 the reversed graph where the chosen vertices have been made undeletable.
 Each combined choice is removed via the torso reduction and handed to the
-undirected sub-solver; the first verified answer (in family order) wins.
-Distinct combined choices are attempted once and memoized, since the reduced
-instance depends only on their union.
+undirected sub-solver; the first answer (in family order) wins.  Distinct
+combined choices are attempted once and memoized, since the reduced instance
+depends only on their union.
+
+Every answer is re-checked on the input instance before it is returned.  A
+failed check can only be a solver bug, so it raises RuntimeError rather than
+being reported as no solution.
 """
 
 from __future__ import annotations
@@ -24,13 +28,11 @@ from .undirected import solve_undirected, underlying_undirected
 
 @dataclass(frozen=True)
 class Solution:
-    """A feasible cut: vertex ids in the original graph, or edge indices for
-    the edge variant.  `verified` records that the separation certificate was
-    re-checked on the input instance."""
+    """A feasible cut, re-checked on the input instance: vertex ids in the
+    original graph, or edge indices for the edge variant."""
 
     vertices: frozenset[int] | None = None
     edges: tuple[int, ...] | None = None
-    verified: bool = False
 
 
 def verify_solution(inst: Instance, s: Iterable[int]) -> bool:
@@ -59,9 +61,9 @@ def _attempt(inst: Instance, z: frozenset[int]) -> Solution | None:
     if s is None:
         return None
     lifted = red.lift(s)
-    if verify_solution(inst, lifted):
-        return Solution(vertices=lifted, verified=True)
-    return None
+    if not verify_solution(inst, lifted):
+        raise RuntimeError(f"lifted cut {sorted(lifted)} failed verification")
+    return Solution(vertices=lifted)
 
 
 def _second_stage(inst: Instance, z1: frozenset[int]) -> Instance:
@@ -77,7 +79,6 @@ def solve_vertex(
     inst: Instance,
     mode: str = "deterministic",
     seed: int = 0,
-    cross_check: bool = False,
 ) -> Solution | None:
     """Feasible vertex multiway cut of size <= budget, or None.
 
@@ -102,10 +103,6 @@ def solve_vertex(
                 tried[z] = _attempt(inst, z)
             if tried[z] is not None:
                 return tried[z]
-    if cross_check:
-        from .oracle import brute_force_mwc
-
-        assert brute_force_mwc(inst) is None, "branching missed a feasible cut"
     return None
 
 
@@ -177,7 +174,9 @@ def solve_edge(
     ok = all(
         not reachable_from(residue, {t}) & (terms - {t}) for t in terms
     ) and len(cut) <= p
-    return Solution(edges=cut, verified=ok) if ok else None
+    if not ok:
+        raise RuntimeError(f"edge cut {list(cut)} failed verification")
+    return Solution(edges=cut)
 
 
 def solve_multicut_k2(
@@ -206,4 +205,6 @@ def solve_multicut_k2(
         b not in reachable_from(g, {a}, cut - {a}) or a in cut or b in cut
         for a, b in pairs
     )
-    return Solution(vertices=cut, verified=ok) if ok else None
+    if not ok:
+        raise RuntimeError(f"multicut {sorted(cut)} failed verification")
+    return Solution(vertices=cut)

@@ -2,22 +2,20 @@
 its deterministic replacement.
 
 Both modes share the same universe: the distinct exact reverse shadows of the
-important witness-T separators of size at most p.  The randomized draw picks
-each shadow with a fair coin and returns the union.  The deterministic family
-enumerates selections (h, H) where h is an injective indexing of the universe
-(the smallest prime modulus at least its size, a member of the splitter
-family) and H an index subset of size at most 2^p; rather than walking every
-H, it emits exactly the selections induced by candidate member-unions W of at
-most p deletable vertices, which is the sub-family the coverage guarantee
-needs.
+important witness-T separators of size at most p (the collection members).
+The randomized draw picks each shadow with a fair coin and returns the union.
+
+The deterministic family only needs, for each cut S of at most p deletable
+vertices, the union of the shadows of the members contained in S.  The
+members inside S are exactly the members inside W, the union of those
+members, and |W| <= |S| <= p.  So walking the unions of members that have at
+most p vertices, rather than every small S, reaches every selection the
+coverage guarantee needs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
 
 from .graph import Instance
 from .rng import SplitMix64
@@ -25,61 +23,24 @@ from .separators import build_collection, canonical_order
 from .shadows import shadow
 
 
-@dataclass(frozen=True)
-class ModFunction:
-    """x -> x mod q, a member of the prime-modulus splitter family."""
-
-    modulus: int
-
-    def __call__(self, x: int) -> int:
-        return x % self.modulus
-
-
-def _primes_upto(bound: int) -> list[int]:
-    if bound < 2:
-        return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(bound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
+def _member_shadows(
+    inst: Instance,
+) -> tuple[tuple[frozenset[int], ...], list[tuple[frozenset[int], int]]]:
+    """The shadow universe in canonical order, and each collection member
+    paired with the universe index of its exact reverse shadow.  One
+    collection build and one shadow per member."""
+    g, terms = inst.graph, inst.terminals
+    members = build_collection(inst).member_sets()
+    shadows = [shadow(g, terms, m).exact_reverse for m in members]
+    universe = tuple(sorted(set(shadows), key=canonical_order))
+    index_of = {z: i for i, z in enumerate(universe)}
+    return universe, [(m, index_of[z]) for m, z in zip(members, shadows)]
 
 
-def _next_prime(start: int) -> int:
-    q = max(2, start)
-    while True:
-        if all(q % d for d in range(2, int(q**0.5) + 1)):
-            return q
-        q += 1
-
-
-def splitter_family(n: int, r: int) -> list[ModFunction]:
-    """Family of functions on [n] such that every r-subset has an injective
-    member.
-
-    Prime moduli up to max(r^2, 6) * ceil(log2 n) * r suffice by the usual
-    counting argument (a colliding pair rules out only the prime divisors of
-    its difference); a prime of at least n is appended so the property holds
-    unconditionally.
-    """
-    if not 1 <= r <= n:
-        raise ValueError("need 1 <= r <= n")
-    bound = max(r * r, 6) * max(1, math.ceil(math.log2(max(n, 2)))) * r
-    moduli = _primes_upto(bound)
-    if not moduli or moduli[-1] < n:
-        moduli.append(_next_prime(n))
-    return [ModFunction(q) for q in moduli]
-
-
-def shadow_universe(inst: Instance) -> list[frozenset[int]]:
+def shadow_universe(inst: Instance) -> tuple[frozenset[int], ...]:
     """Distinct exact reverse shadows of the important-separator collection,
     in canonical order."""
-    g, terms = inst.graph, inst.terminals
-    seen: set[frozenset[int]] = set()
-    for members in build_collection(inst).member_sets():
-        seen.add(shadow(g, terms, members).exact_reverse)
-    return sorted(seen, key=canonical_order)
+    return _member_shadows(inst)[0]
 
 
 @dataclass(frozen=True)
@@ -93,7 +54,7 @@ class RandomDraw:
 
 
 def random_draw(inst: Instance, seed: int) -> RandomDraw:
-    universe = tuple(shadow_universe(inst))
+    universe = shadow_universe(inst)
     rng = SplitMix64(seed)
     coins = tuple(rng.coin() for _ in universe)
     z: set[int] = set()
@@ -110,10 +71,11 @@ def random_set(inst: Instance, seed: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class CandidateFamily:
-    """Ordered candidate sets with (function index, index subset) provenance."""
+    """Ordered candidate sets, each with the sorted universe indices whose
+    shadows it is the union of."""
 
     candidates: tuple[frozenset[int], ...]
-    provenance: tuple[tuple[int, tuple[int, ...]], ...]
+    provenance: tuple[tuple[int, ...], ...]
     universe: tuple[frozenset[int], ...]
 
     def __iter__(self):
@@ -126,35 +88,35 @@ class CandidateFamily:
 def deterministic_sets(inst: Instance) -> CandidateFamily:
     """Deterministic candidate family covering every (thin S, Y) pair.
 
-    For any thin S of size at most p, the selection that must appear is the
-    union of the exact reverse shadows of collection members contained in S.
-    Those members union to some W subseteq S with |W| <= p, and the members
-    inside W are exactly the members inside S, so enumerating W over all
-    deletable subsets of size at most p hits the required selection.
+    The sets W are the closure of {emptyset} under union with a collection
+    member, kept to at most p vertices; the module docstring says why they
+    suffice.  They are visited in canonical (size, then lexicographic) order
+    and each distinct selection is emitted at its first W, with the sorted
+    universe indices it unites.  A walk over every deletable S of at most p
+    vertices in that order gives the same output: the W of any S holds the
+    same members and is a subset of S, so it comes no later.
     """
-    g = inst.graph
-    collection = build_collection(inst)
-    universe = shadow_universe(inst)
-    index_of = {members: i for i, members in enumerate(universe)}
-    member_shadows = [
-        (entry.members, index_of[shadow(g, inst.terminals, entry.members).exact_reverse])
-        for entry in collection.entries
-    ]
-    deletable = sorted(g.deletable() - inst.terminals)
+    universe, member_shadows = _member_shadows(inst)
+    closure = {frozenset()}
+    frontier = list(closure)
+    while frontier:
+        grown = []
+        for w in frontier:
+            for members, _ in member_shadows:
+                u = w | members
+                if len(u) <= inst.budget and u not in closure:
+                    closure.add(u)
+                    grown.append(u)
+        frontier = grown
 
     candidates: list[frozenset[int]] = []
-    provenance: list[tuple[int, tuple[int, ...]]] = []
+    provenance: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
-    for size in range(min(inst.budget, len(deletable)) + 1):
-        for w in combinations(deletable, size):
-            wset = frozenset(w)
-            picked = sorted({i for members, i in member_shadows if members <= wset})
-            z: set[int] = set()
-            for i in picked:
-                z |= universe[i]
-            zset = frozenset(z)
-            if zset not in seen:
-                seen.add(zset)
-                candidates.append(zset)
-                provenance.append((0, tuple(picked)))
-    return CandidateFamily(tuple(candidates), tuple(provenance), tuple(universe))
+    for w in sorted(closure, key=canonical_order):
+        picked = sorted({i for members, i in member_shadows if members <= w})
+        z = frozenset().union(*(universe[i] for i in picked))
+        if z not in seen:
+            seen.add(z)
+            candidates.append(z)
+            provenance.append(tuple(picked))
+    return CandidateFamily(tuple(candidates), tuple(provenance), universe)

@@ -31,6 +31,21 @@ def test_solve_min_budget_search(two_cycle_file, capsys):
     assert "minimum feasible budget: 2" in captured.err
 
 
+def test_min_budget_search_rejects_randomized_mode(two_cycle_file, capsys):
+    args = ["solve", two_cycle_file, "--min-budget-search", "--mode", "randomized"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--min-budget-search" in captured.err
+
+
+def test_failed_verification_is_not_reported_as_no(two_cycle_file, capsys, monkeypatch):
+    monkeypatch.setattr("dmwc.pipeline.verify_solution", lambda inst, s: False)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        main(["solve", two_cycle_file])
+    assert capsys.readouterr().out == ""
+
+
 def test_solve_stdin(two_cycle_file, capsys, monkeypatch):
     import io
 

@@ -69,6 +69,33 @@ def test_diagnostics_carry_position():
     assert err.column == 3  # points at the bad token, not the directive
 
 
+def test_columns_come_from_token_offsets():
+    err = _fails_at("dmwc vertex\nn n\n", 2)
+    assert err.column == 3  # the second 'n', not the directive
+    err = _fails_at("dmwc vertex\nn 3\np 1\nt 0\ne -1 -\n", 5)
+    assert err.column == 6
+
+
+def test_out_of_range_ids_carry_their_position():
+    text = "dmwc vertex\nn 3\np 1\nt 0\nt 1\ne 0 2\ne 1 7\n"
+    err = _fails_at(text, 7)
+    assert err.column == 5
+    err = _fails_at("dmwc multicut2\nn 3\np 1\npair 0 1\npair 2 3\n", 5)
+    assert err.column == 8
+    # ids before a late 'n' line are checked against it at their own line
+    err = _fails_at("dmwc vertex\nt 5\nn 3\np 1\n", 2)
+    assert err.column == 3
+
+
+def test_duplicate_header_lines_rejected():
+    err = _fails_at("dmwc vertex\nn 3\np 1\nt 0\np 2\n", 5)
+    assert "duplicate 'p'" in str(err)
+    err = _fails_at("dmwc vertex\nn 3\np 1\nn 4\nt 0\n", 4)
+    assert "duplicate 'n'" in str(err)
+    err = _fails_at("dmwc vertex\nn 3\ndmwc edge\n", 3)
+    assert "duplicate 'dmwc'" in str(err)
+
+
 def test_structural_checks():
     with pytest.raises(FormatError):
         parse("dmwc vertex\nn 3\np 1\n")  # no terminals

@@ -1,44 +1,14 @@
 from itertools import combinations
 
-import pytest
-
 from conftest import random_digraph, subsets_upto
+from dmwc import sampling
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance
-from dmwc.sampling import (
-    deterministic_sets,
-    random_draw,
-    random_set,
-    shadow_universe,
-    splitter_family,
-)
-from dmwc.separators import build_collection
+from dmwc.oracle import generate_instance
+from dmwc.pipeline import _second_stage
+from dmwc.sampling import deterministic_sets, random_draw, random_set, shadow_universe
+from dmwc.separators import build_collection, canonical_order
 from dmwc.shadows import is_thin, shadow
-
-
-def test_splitter_identity_case():
-    family = splitter_family(5, 5)
-    m = list(range(5))
-    assert any(len({f(x) for x in m}) == 5 for f in family)
-
-
-def test_splitter_validates():
-    with pytest.raises(ValueError):
-        splitter_family(3, 4)
-    with pytest.raises(ValueError):
-        splitter_family(3, 0)
-
-
-def test_splitter_exhaustive_n20_r3():
-    family = splitter_family(20, 3)
-    for m in combinations(range(20), 3):
-        assert any(len({f(x) for x in m}) == 3 for f in family), m
-
-
-def test_splitter_exhaustive_n50_r4():
-    family = splitter_family(50, 4)
-    for m in combinations(range(50), 4):
-        assert any(len({f(x) for x in m}) == 4 for f in family), m
 
 
 def test_random_set_trivial_cases():
@@ -98,7 +68,7 @@ def test_deterministic_family_hits_required_selection():
 def test_candidates_are_shadow_unions():
     fx = hub_fan(3, 2)
     family = deterministic_sets(fx.instance)
-    for z, (_, picked) in zip(family.candidates, family.provenance):
+    for z, picked in zip(family.candidates, family.provenance):
         redo = frozenset()
         for i in picked:
             redo |= family.universe[i]
@@ -111,6 +81,60 @@ def test_deterministic_family_is_stable():
     b = deterministic_sets(fx.instance)
     assert a.candidates == b.candidates
     assert a.provenance == b.provenance
+    assert all(list(picked) == sorted(set(picked)) for picked in a.provenance)
+
+
+def _reference_family(inst):
+    """The walk over every deletable W of at most p vertices, in canonical
+    order, that the union closure replaces: (candidates, provenance,
+    universe)."""
+    g = inst.graph
+    members = build_collection(inst).member_sets()
+    shadows = [shadow(g, inst.terminals, m).exact_reverse for m in members]
+    universe = sorted(set(shadows), key=canonical_order)
+    index_of = {z: i for i, z in enumerate(universe)}
+    member_shadows = [(m, index_of[z]) for m, z in zip(members, shadows)]
+    deletable = sorted(g.deletable() - inst.terminals)
+    candidates, provenance, seen = [], [], set()
+    for size in range(min(inst.budget, len(deletable)) + 1):
+        for w in combinations(deletable, size):
+            wset = frozenset(w)
+            picked = tuple(sorted({i for m, i in member_shadows if m <= wset}))
+            z = frozenset().union(*(universe[i] for i in picked))
+            if z not in seen:
+                seen.add(z)
+                candidates.append(z)
+                provenance.append(picked)
+    return tuple(candidates), tuple(provenance), tuple(universe)
+
+
+def test_union_closure_matches_reference_walk():
+    for i in range(200):
+        n = 6 + (i * 7) % 15
+        inst = generate_instance(
+            7000 + i, n, 2.5 / n + 0.05 * (i % 3), 2 + i % 2, i % 4, 0.1 * (i % 2)
+        )
+        family = deterministic_sets(inst)
+        got = (family.candidates, family.provenance, family.universe)
+        assert got == _reference_family(inst), i
+        inner = _second_stage(inst, family.candidates[-1])
+        family = deterministic_sets(inner)
+        got = (family.candidates, family.provenance, family.universe)
+        assert got == _reference_family(inner), (i, "second stage")
+
+
+def test_one_collection_build_per_family(monkeypatch):
+    calls = []
+
+    def counting(inst):
+        calls.append(inst)
+        return build_collection(inst)
+
+    monkeypatch.setattr(sampling, "build_collection", counting)
+    fx = hub_fan(3, 2)
+    family = deterministic_sets(fx.instance)
+    assert len(calls) == 1
+    assert len(family) > 1
 
 
 def _coverage_pairs(inst):
