@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 = solved / feasible / verified, 1 = no solution (or a solution
-file that fails `verify`), 2 = input error.  The machine-readable result goes
-to stdout ("SOLUTION k v1 ... vk" or "NO"); human-readable notes go to stderr.
-A solver answer that fails its own re-verification is a bug: the RuntimeError
-propagates and nothing is printed to stdout.
+file that fails `verify`), 2 = input error, 4 = solver bug: an answer failed
+its own re-verification (nothing is printed to stdout).  The machine-readable
+result goes to stdout ("SOLUTION k v1 ... vk" or "NO"); human-readable notes
+go to stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .pipeline import (
     solve_edge,
     solve_multicut_k2,
     solve_vertex,
+    verify_edge_cut,
+    verify_multicut,
     verify_solution,
 )
 from .separators import enumerate_important
@@ -52,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="deterministic")
     solve.add_argument("--seed", type=int, default=None,
                        help="seed for randomized mode (default: DMWC_SEED or 0)")
-    solve.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: DMWC_THREADS or 1)")
 
     seps = sub.add_parser("enumerate-seps", help="list important separators")
     seps.add_argument("instance")
@@ -113,10 +113,6 @@ def _solve_file(pf: ProblemFile, budget: int, mode: str, seed: int) -> Solution 
 def _cmd_solve(args: argparse.Namespace) -> int:
     pf = _read_problem(args.instance)
     seed = args.seed if args.seed is not None else _env_int("DMWC_SEED", 0)
-    threads = args.threads if args.threads is not None else _env_int("DMWC_THREADS", 1)
-    if threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     budget = args.budget if args.budget is not None else pf.budget
     if budget < 0:
         print("error: budget must be non-negative", file=sys.stderr)
@@ -217,27 +213,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if pf.kind == "vertex":
         ok = verify_solution(pf.to_instance(), ids)
     elif pf.kind == "edge":
-        g = pf.graph
-        if any(not 0 <= e < len(g.edges) for e in ids) or len(ids) > pf.budget:
-            ok = False
-        else:
-            gone = set(ids)
-            residue = [e for i, e in enumerate(g.edges) if i not in gone]
-            from .graph import Digraph, reachable_from
-
-            h = Digraph(g.vertex_count, residue, g.infinite)
-            terms = frozenset(pf.terminals)
-            ok = all(
-                not reachable_from(h, {t}) & (terms - {t}) for t in terms
-            )
+        ok = verify_edge_cut(pf.to_instance(), ids)
     else:
-        from .graph import reachable_from
-
-        cut = frozenset(ids)
-        ok = len(cut) <= pf.budget and not cut & pf.graph.infinite and all(
-            a in cut or b in cut or b not in reachable_from(pf.graph, {a}, cut - {a})
-            for a, b in pf.pairs
-        )
+        ok = verify_multicut(pf.graph, pf.pairs, pf.budget, ids)
     print("OK" if ok else "INVALID")
     return 0 if ok else 1
 
@@ -250,7 +228,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         if args.command == "solve":
-            return _cmd_solve(args)
+            try:
+                return _cmd_solve(args)
+            except RuntimeError as exc:  # an answer failed re-verification
+                print(f"error: {exc}", file=sys.stderr)
+                return 4
         if args.command == "enumerate-seps":
             return _cmd_enumerate(args)
         if args.command == "shadow":

@@ -23,6 +23,10 @@ from dataclasses import dataclass
 from .graph import Digraph, Instance
 
 KINDS = ("vertex", "edge", "multicut2")
+# Largest accepted `n`.  Building the graph allocates two adjacency sets per
+# vertex (about 430 bytes) whatever the edge count, so a bare `n` line must
+# not be able to demand unbounded memory.
+MAX_VERTICES = 100_000
 _TOKEN = re.compile(r"\S+")
 
 
@@ -111,6 +115,10 @@ def parse(text: str) -> ProblemFile:
             n = _int_token(args[0], line_no, columns[1])
             if n < 0:
                 raise FormatError("vertex count must be non-negative", line_no, columns[1])
+            if n > MAX_VERTICES:
+                raise FormatError(
+                    f"vertex count {n} exceeds the limit {MAX_VERTICES}", line_no, columns[1]
+                )
         elif key == "p":
             need(1)
             if budget is not None:

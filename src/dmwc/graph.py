@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from math import inf
+from typing import Iterable, Iterator
 
 
 class Digraph:
@@ -180,12 +181,16 @@ def min_vertex_separator(
 ) -> tuple[int, frozenset[int]] | None:
     """Minimum x-y vertex separator with inclusion-maximal reach from x.
 
-    Realized by the in/out node-splitting max-flow: deletable vertices carry
-    capacity one, everything else (including x, y and distinguished vertices)
-    carries n+1, which acts as infinity since any finite separator has size
-    at most n.  The unique max-reach minimum separator is read off the
+    Realized by max-flow on the in/out node-splitting network, kept implicit:
+    node 2v is v_in, node 2v+1 is v_out, and their arcs come from g's
+    adjacency.  The split arc v_in -> v_out has capacity one for a deletable
+    vertex outside x and y; every other forward arc is unbounded, and reverse
+    arcs have capacity zero.  Once no x-y path runs through undeletable
+    vertices alone the maximum flow is finite, so adding one unit per
+    augmenting path ends after lambda paths.  The unique max-reach minimum separator is read off the
     residual graph: it consists of the saturated split arcs on the boundary
-    of the set of nodes that cannot reach the sink side.
+    of the set of nodes that cannot reach the sink side.  Self-loops lie on
+    no path and are skipped.
 
     Returns (lambda, separator), or None when no finite separator exists
     (an x-to-y path through only undeletable vertices).
@@ -196,31 +201,32 @@ def min_vertex_separator(
         raise ValueError("x and y must be non-empty")
     if xs & ys:
         raise ValueError("x and y must be disjoint")
+    cuttable = g.deletable() - xs - ys
+    if reachable_from(g, xs, cuttable) & ys:
+        return None
 
-    n = g.vertex_count
-    inf_cap = n + 1
-    protected = xs | ys | g.infinite
-    # node 2v = v_in, 2v+1 = v_out
-    cap: dict[tuple[int, int], int] = {}
-    adj: list[set[int]] = [set() for _ in range(2 * n)]
+    succ, pred = g.successors, g.predecessors
 
-    def add_arc(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        adj[a].add(b)
-        adj[b].add(a)
+    def neighbours(a: int) -> Iterator[int]:
+        # a ^ 1 is the other half of v; v_out leads to the in-nodes of v's
+        # successors, v_in is entered from the out-nodes of v's predecessors
+        v, side = a >> 1, a & 1
+        yield a ^ 1
+        for w in succ(v) if side else pred(v):
+            if w != v:
+                yield 2 * w + 1 - side
 
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1, inf_cap if v in protected else 1)
-    for u, v in set(g.edges):
-        add_arc(2 * u + 1, 2 * v, inf_cap)
+    flow: dict[tuple[int, int], int] = {}  # net flow, flow[b, a] == -flow[a, b]
+
+    def residual(a: int, b: int) -> float:
+        if b == a ^ 1:  # split arc, forward from v_in only
+            cap = 0 if a & 1 else 1 if a >> 1 in cuttable else inf
+        else:  # edge arc, forward from u_out only
+            cap = inf if a & 1 else 0
+        return cap - flow.get((a, b), 0)
 
     sources = {2 * v + 1 for v in xs}
     sinks = {2 * v for v in ys}
-    flow: dict[tuple[int, int], int] = {}
-
-    def residual(a: int, b: int) -> int:
-        return cap.get((a, b), 0) - flow.get((a, b), 0) + flow.get((b, a), 0)
-
     value = 0
     while True:
         parent: dict[int, int] = {s: s for s in sources}
@@ -231,30 +237,19 @@ def min_vertex_separator(
             if a in sinks:
                 hit = a
                 break
-            for b in adj[a]:
+            for b in neighbours(a):
                 if b not in parent and residual(a, b) > 0:
                     parent[b] = a
                     queue.append(b)
         if hit < 0:
             break
-        # bottleneck along the path
-        path = []
         b = hit
         while parent[b] != b:
             a = parent[b]
-            path.append((a, b))
+            flow[a, b] = flow.get((a, b), 0) + 1
+            flow[b, a] = flow.get((b, a), 0) - 1
             b = a
-        bottleneck = min(residual(a, b) for a, b in path)
-        for a, b in path:
-            back = min(flow.get((b, a), 0), bottleneck)
-            if back:
-                flow[(b, a)] -= back
-            rest = bottleneck - back
-            if rest:
-                flow[(a, b)] = flow.get((a, b), 0) + rest
-        value += bottleneck
-        if value > n:
-            return None  # only infinite-capacity augmenting paths remain
+        value += 1
 
     # Nodes with a residual path into the sink side; their complement is the
     # inclusion-maximal source side.
@@ -262,15 +257,13 @@ def min_vertex_separator(
     queue = deque(sinks)
     while queue:
         b = queue.popleft()
-        for a in adj[b]:
+        for a in neighbours(b):
             if a not in can_reach and residual(a, b) > 0:
                 can_reach.add(a)
                 queue.append(a)
 
     separator = frozenset(
-        v
-        for v in range(n)
-        if v not in protected and 2 * v not in can_reach and 2 * v + 1 in can_reach
+        v for v in cuttable if 2 * v not in can_reach and 2 * v + 1 in can_reach
     )
     assert len(separator) == value, "cut extraction disagrees with flow value"
     return value, separator

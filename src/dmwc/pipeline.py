@@ -50,6 +50,35 @@ def verify_solution(inst: Instance, s: Iterable[int]) -> bool:
     return True
 
 
+def verify_edge_cut(inst: Instance, edges: Iterable[int]) -> bool:
+    """`edges` are indices into graph.edges, within budget, and deleting them
+    disconnects every ordered terminal pair."""
+    g = inst.graph
+    cut = frozenset(edges)
+    if len(cut) > inst.budget or not cut <= frozenset(range(len(g.edges))):
+        return False
+    rest = Digraph(
+        g.vertex_count, [e for i, e in enumerate(g.edges) if i not in cut], g.infinite
+    )
+    return verify_solution(Instance(rest, inst.terminals, inst.budget), ())
+
+
+def verify_multicut(
+    g: Digraph, pairs: Iterable[tuple[int, int]], budget: int, s: Iterable[int]
+) -> bool:
+    """s is disjoint from the distinguished vertices, within budget, and each
+    pair (a, b) has a or b in s or no a-b path avoiding s."""
+    cut = frozenset(s)
+    if cut & g.infinite or len(cut) > budget:
+        return False
+    if not cut <= frozenset(g.vertices()):
+        return False
+    return all(
+        a in cut or b in cut or b not in reachable_from(g, {a}, cut)
+        for a, b in pairs
+    )
+
+
 def _attempt(inst: Instance, z: frozenset[int]) -> Solution | None:
     red = reduce_instance(inst, z)
     und = Instance(
@@ -136,45 +165,20 @@ def solve_edge(
 ) -> Solution | None:
     """Edge multiway cut of size <= budget, as indices into graph.edges.
 
-    Reduces to the vertex problem: every non-terminal gets budget+1
-    interchangeable copies, every edge becomes a hub vertex wired from the
-    tail's copies to the head's copies, and only terminals are undeletable.
-    A vertex cut then only ever profits from hub vertices, which map back to
-    edges.
+    Reduces to the vertex problem by subdivision: edge e = (u, v) becomes the
+    path u -> n+e -> v through a fresh deletable vertex, and every original
+    vertex is undeletable, so a vertex cut consists of subdivision vertices
+    only and maps back to edges.
     """
-    g, terms, p = inst.graph, inst.terminals, inst.budget
-    next_id = 0
-
-    def alloc() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    copies = {
-        u: [alloc() for _ in range(1 if u in terms else p + 1)] for u in g.vertices()
-    }
-    hub = [alloc() for _ in g.edges]
-    edges: list[tuple[int, int]] = []
-    for e, (u, v) in enumerate(g.edges):
-        for x in copies[u]:
-            edges.append((x, hub[e]))
-        for y in copies[v]:
-            edges.append((hub[e], y))
-    new_terms = frozenset(copies[t][0] for t in terms)
-    gv = Digraph(next_id, edges, new_terms)
-    sol = solve_vertex(Instance(gv, new_terms, p), mode=mode, seed=seed)
+    g = inst.graph
+    n = g.vertex_count
+    edges = [a for e, (u, v) in enumerate(g.edges) for a in ((u, n + e), (n + e, v))]
+    gv = Digraph(n + len(g.edges), edges, range(n))
+    sol = solve_vertex(Instance(gv, inst.terminals, inst.budget), mode=mode, seed=seed)
     if sol is None:
         return None
-    hub_index = {h: e for e, h in enumerate(hub)}
-    cut = tuple(sorted(hub_index[v] for v in sol.vertices if v in hub_index))
-    # dropping any stray copy vertices keeps the cut valid: a surviving path
-    # could always route around them through an untouched copy
-    remaining = [e for i, e in enumerate(g.edges) if i not in set(cut)]
-    residue = Digraph(g.vertex_count, remaining, g.infinite)
-    ok = all(
-        not reachable_from(residue, {t}) & (terms - {t}) for t in terms
-    ) and len(cut) <= p
-    if not ok:
+    cut = tuple(sorted(v - n for v in sol.vertices))
+    if not verify_edge_cut(inst, cut):
         raise RuntimeError(f"edge cut {list(cut)} failed verification")
     return Solution(edges=cut)
 
@@ -201,10 +205,6 @@ def solve_multicut_k2(
     if sol is None:
         return None
     cut = frozenset(v for v in sol.vertices if v < n)
-    ok = len(cut) <= p and all(
-        b not in reachable_from(g, {a}, cut - {a}) or a in cut or b in cut
-        for a, b in pairs
-    )
-    if not ok:
+    if not verify_multicut(g, pairs, p, cut):
         raise RuntimeError(f"multicut {sorted(cut)} failed verification")
     return Solution(vertices=cut)

@@ -41,9 +41,10 @@ def test_min_budget_search_rejects_randomized_mode(two_cycle_file, capsys):
 
 def test_failed_verification_is_not_reported_as_no(two_cycle_file, capsys, monkeypatch):
     monkeypatch.setattr("dmwc.pipeline.verify_solution", lambda inst, s: False)
-    with pytest.raises(RuntimeError, match="failed verification"):
-        main(["solve", two_cycle_file])
-    assert capsys.readouterr().out == ""
+    assert main(["solve", two_cycle_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "failed verification" in captured.err
 
 
 def test_solve_stdin(two_cycle_file, capsys, monkeypatch):
@@ -145,6 +146,19 @@ def test_verify_round_trip(two_cycle_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "INVALID"
 
 
+def test_verify_multicut_rejects_undeletable_vertex(tmp_path, capsys):
+    # cutting 4 would separate both pairs, but 4 is an `inf` vertex
+    path = tmp_path / "mc.dmwc"
+    path.write_text("dmwc multicut2\nn 5\np 1\npair 0 1\npair 2 3\ninf 4\n"
+                    "e 0 4\ne 4 1\ne 2 4\ne 4 3\n")
+    sol = tmp_path / "cut.txt"
+    sol.write_text("SOLUTION 1 4\n")
+    assert main(["verify", str(path), "--solution", str(sol)]) == 1
+    assert capsys.readouterr().out.strip() == "INVALID"
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().out.strip() == "NO"
+
+
 def test_env_seed_with_flag_override(two_cycle_file, capsys, monkeypatch):
     monkeypatch.setenv("DMWC_SEED", "3")
     code = main(["solve", two_cycle_file, "--mode", "randomized"])
@@ -156,8 +170,8 @@ def test_env_seed_with_flag_override(two_cycle_file, capsys, monkeypatch):
     assert main(["solve", two_cycle_file, "--mode", "randomized"]) == 2
 
 
-def test_threads_env_and_validation(two_cycle_file, capsys, monkeypatch):
-    monkeypatch.setenv("DMWC_THREADS", "2")
-    assert main(["solve", two_cycle_file]) == 0
-    capsys.readouterr()
-    assert main(["solve", two_cycle_file, "--threads", "0"]) == 2
+def test_threads_flag_is_unknown(two_cycle_file, capsys):
+    assert main(["solve", two_cycle_file, "--threads", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --threads 2" in captured.err

@@ -1,6 +1,13 @@
 import pytest
 
-from dmwc.fileformat import FormatError, ProblemFile, from_instance, parse, serialize
+from dmwc.fileformat import (
+    MAX_VERTICES,
+    FormatError,
+    ProblemFile,
+    from_instance,
+    parse,
+    serialize,
+)
 from dmwc.fixtures import hub_fan, two_cycle
 from dmwc.oracle import generate_instance
 
@@ -94,6 +101,18 @@ def test_duplicate_header_lines_rejected():
     assert "duplicate 'n'" in str(err)
     err = _fails_at("dmwc vertex\nn 3\ndmwc edge\n", 3)
     assert "duplicate 'dmwc'" in str(err)
+
+
+def test_vertex_count_ceiling(monkeypatch):
+    # a stand-in graph records what the parser would have allocated
+    built = []
+    monkeypatch.setattr("dmwc.fileformat.Digraph", lambda n, *rest: built.append(n))
+    err = _fails_at("dmwc vertex\nn 10000000000\np 1\nt 0\n", 2)
+    assert err.column == 3
+    assert f"exceeds the limit {MAX_VERTICES}" in str(err)
+    assert built == []
+    parse(f"dmwc vertex\nn {MAX_VERTICES}\np 1\nt 0\n")
+    assert built == [MAX_VERTICES]
 
 
 def test_structural_checks():

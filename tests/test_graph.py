@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -130,13 +130,17 @@ def _is_sep(g, x, y, s):
     return not reachable_from(g, x, s) & y
 
 
+def _with_loops_and_repeats(g):
+    """g plus a self-loop on every even vertex and a repeat of every other edge."""
+    extra = [(v, v) for v in range(0, g.vertex_count, 2)] + list(g.edges[::2])
+    return Digraph(g.vertex_count, g.edges + tuple(extra), g.infinite)
+
+
 def test_min_separator_matches_brute_force():
     for seed in range(60):
-        g = random_digraph(seed, 6, 0.3, 0.15)
-        for x in range(6):
-            for y in range(6):
-                if x == y:
-                    continue
+        plain = random_digraph(seed, 6, 0.3, 0.15)
+        for g in (plain, _with_loops_and_repeats(plain)):
+            for x, y in permutations(range(6), 2):
                 xs, ys = frozenset({x}), frozenset({y})
                 pool = sorted(set(range(6)) - xs - ys - g.infinite)
                 best = None
@@ -163,6 +167,37 @@ def test_min_separator_matches_brute_force():
                 ]
                 for s in others:
                     assert reachable_from(g, xs, s) < reach
+
+
+def test_min_separator_value_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    outcomes = set()
+    for seed in range(60):
+        n = 20 + seed * 40 // 59  # 20..60
+        g = random_digraph(seed, n, 2.5 / n, 0.2)
+        xs = frozenset(range(1 + seed % 2))
+        ys = frozenset({n - 1, n - 2 - seed % 3})
+        cuttable = g.deletable() - xs - ys
+        # networkx rejects paths of unbounded capacity, so n + 1 stands in
+        # for infinity: it exceeds every finite separator
+        big = n + 1
+        net = nx.DiGraph()
+        for v in range(n):
+            net.add_edge(("in", v), ("out", v), capacity=1 if v in cuttable else big)
+        for u, v in g.edges:
+            net.add_edge(("out", u), ("in", v), capacity=big)
+        for v in xs:
+            net.add_edge("source", ("in", v), capacity=big)
+        for v in ys:
+            net.add_edge(("out", v), "sink", capacity=big)
+        value = nx.maximum_flow_value(net, "source", "sink")
+        found = min_vertex_separator(g, xs, ys)
+        if value >= big:
+            assert found is None, seed
+        else:
+            assert found is not None and found[0] == value, seed
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
 
 
 def test_submodularity_of_weighted_out_neighborhood():

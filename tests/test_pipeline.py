@@ -11,6 +11,8 @@ from dmwc.pipeline import (
     solve_edge,
     solve_multicut_k2,
     solve_vertex,
+    verify_edge_cut,
+    verify_multicut,
     verify_solution,
 )
 
@@ -22,6 +24,27 @@ def test_verify_solution():
     assert not verify_solution(inst, set())  # t1 still reaches t2
     assert not verify_solution(two_cycle(1), {2, 3})  # over budget
     assert not verify_solution(inst, {9})  # out of range
+
+
+def test_verify_edge_cut():
+    inst = Instance(Digraph(3, [(0, 2), (2, 1), (0, 1)], {0, 1}), frozenset({0, 1}), 2)
+    assert verify_edge_cut(inst, [0, 2])
+    assert verify_edge_cut(inst, [1, 2, 2])  # repeats count once
+    assert not verify_edge_cut(inst, [0])  # 0 -> 1 survives
+    assert not verify_edge_cut(inst, [0, 1, 2])  # over budget
+    assert not verify_edge_cut(inst, [2, 3])  # no edge 3
+
+
+def test_verify_multicut():
+    # 4 lies on both request paths but is undeletable
+    g = Digraph(6, [(0, 4), (4, 1), (2, 4), (4, 3), (0, 5), (5, 1)], {4})
+    pairs = [(0, 1), (2, 3)]
+    assert verify_multicut(g, pairs, 2, {0, 2})
+    assert verify_multicut(g, pairs, 2, {1, 3})  # endpoints may be cut
+    assert not verify_multicut(g, pairs, 2, {4})
+    assert not verify_multicut(g, pairs, 2, {4, 5})
+    assert not verify_multicut(g, pairs, 1, {0, 2})  # over budget
+    assert not verify_multicut(g, pairs, 2, {0, 9})  # out of range
 
 
 def test_two_cycle_end_to_end():
