@@ -83,8 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_problem(path: str) -> ProblemFile:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return parse(text)
+    if path == "-":
+        return parse(sys.stdin.read())
+    with open(path, encoding="utf-8") as f:
+        return parse(f.read())
 
 
 def _parse_ids(raw: str) -> frozenset[int]:
@@ -197,7 +199,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _read_solution_ids(path: str) -> list[int]:
-    tokens = open(path, encoding="utf-8").read().split()
+    with open(path, encoding="utf-8") as f:
+        tokens = f.read().split()
     if tokens and tokens[0] == "SOLUTION":
         tokens = tokens[2:]
     return [int(t) for t in tokens]

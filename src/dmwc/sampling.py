@@ -3,6 +3,16 @@ its deterministic replacement.
 
 Both modes share the same universe: the distinct exact reverse shadows of the
 important witness-T separators of size at most p (the collection members).
+The exact reverse shadow of a member S is its witness list: the vertices v
+for which S is an important v-T separator.  Every witness is in the exact
+shadow, since an important separator is minimal.  Conversely, let S be
+important for a witness u and a minimal v-T separator.  Every vertex of S
+has an in-neighbour that v reaches, and the max-flow paths from u's side go
+on from S to T through vertices that v cannot reach without S (else v would
+reach T).  So the flow can be rerouted at S through v's side; the residual
+graph beyond S stays the same, S is still the max-reach minimum cut, and so
+it is important for v.
+
 The randomized draw picks each shadow with a fair coin and returns the union.
 
 The deterministic family only needs, for each cut S of at most p deletable
@@ -20,7 +30,6 @@ from dataclasses import dataclass
 from .graph import Instance
 from .rng import SplitMix64
 from .separators import build_collection, canonical_order
-from .shadows import shadow
 
 
 def _member_shadows(
@@ -28,13 +37,13 @@ def _member_shadows(
 ) -> tuple[tuple[frozenset[int], ...], list[tuple[frozenset[int], int]]]:
     """The shadow universe in canonical order, and each collection member
     paired with the universe index of its exact reverse shadow.  One
-    collection build and one shadow per member."""
-    g, terms = inst.graph, inst.terminals
-    members = build_collection(inst).member_sets()
-    shadows = [shadow(g, terms, m).exact_reverse for m in members]
+    collection build per family; a member's exact reverse shadow is the set
+    of its witnesses (the module docstring says why)."""
+    entries = build_collection(inst).entries
+    shadows = [frozenset(e.witnesses) for e in entries]
     universe = tuple(sorted(set(shadows), key=canonical_order))
     index_of = {z: i for i, z in enumerate(universe)}
-    return universe, [(m, index_of[z]) for m, z in zip(members, shadows)]
+    return universe, [(e.members, index_of[z]) for e, z in zip(entries, shadows)]
 
 
 def shadow_universe(inst: Instance) -> tuple[frozenset[int], ...]:

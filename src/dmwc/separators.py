@@ -3,8 +3,12 @@
 The enumeration follows the branch-on-a-min-cut-vertex recursion: compute the
 max-reach minimum separator, pick its smallest vertex v, and recurse once with
 v deleted (budget minus one) and once with the source side pushed past v.
-The recursion over-approximates, so every returned set passes a mandatory
-minimality-and-importance filter.
+The recursion over-approximates, so a candidate is dropped when another
+candidate of no larger size reaches every vertex it reaches from x.  This is
+exact: the recursion returns every important separator of size at most p,
+and every separator is dominated by an important one of no larger size, so
+each non-minimal or non-important candidate loses to some candidate, while
+an important one never does.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ def is_minimal_separator(
 def is_important(
     g: Digraph, x: Iterable[int], y: Iterable[int], s: Iterable[int]
 ) -> bool:
-    """Importance filter: s is the unique minimum separator between its own
+    """True iff s is the unique minimum separator between its own
     reach from x and y.  For a minimal separator this is equivalent to no
     same-or-smaller separator having strictly larger reach."""
     xs, ys, ss = frozenset(x), frozenset(y), frozenset(s)
@@ -97,18 +101,17 @@ def enumerate_important(
     xs, ys = frozenset(x), frozenset(y)
     if xs & ys:
         raise ValueError("x and y must be disjoint")
-    found = min_vertex_separator(g, xs, ys)
-    if found is None:
-        return []
-    lam, _ = found
-    if lam > p:
-        return []
-    candidates = _impsep(g, xs, ys, p, 2 * p - lam + 1)
-    out = []
-    for s in sorted(candidates, key=canonical_order):
-        if is_minimal_separator(g, xs, ys, s) and is_important(g, xs, ys, s):
-            out.append(Separator(s, xs, ys))
-    return out
+    if p < 0:
+        raise ValueError("budget must be non-negative")
+    candidates = _impsep(g, xs, ys, p, 2 * p + 1)
+    reach = {s: reachable_from(g, xs, s) for s in candidates}
+    return [
+        Separator(s, xs, ys)
+        for s in sorted(candidates, key=canonical_order)
+        if not any(
+            t != s and len(t) <= len(s) and reach[t] >= reach[s] for t in candidates
+        )
+    ]
 
 
 def _impsep(

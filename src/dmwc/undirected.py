@@ -3,8 +3,6 @@ important terminal separators over the symmetric digraph."""
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .graph import Digraph, Instance, reachable_from
 from .separators import enumerate_important
 
@@ -27,7 +25,7 @@ def _connected_terminal(g: Digraph, terminals: frozenset[int]) -> int | None:
     return None
 
 
-def solve_undirected(inst: Instance, exhaustive: bool = False) -> frozenset[int] | None:
+def solve_undirected(inst: Instance) -> frozenset[int] | None:
     """A vertex multiway cut of size <= budget avoiding distinguished
     vertices, or None if no such cut exists.
 
@@ -35,13 +33,8 @@ def solve_undirected(inst: Instance, exhaustive: bool = False) -> frozenset[int]
     terminal t; some optimum cut always contains one of them, so exploring
     every branch is complete.  Returns the lexicographically smallest cut of
     minimum size among those found, which makes the output deterministic.
-    The exhaustive flag switches to plain subset search for differential
-    testing (graphs up to 20 vertices).
     """
     g, terminals, budget = inst.graph, inst.terminals, inst.budget
-    if exhaustive:
-        return _exhaustive(g, terminals, budget)
-
     best: list[frozenset[int] | None] = [None]
 
     def better(s: frozenset[int]) -> bool:
@@ -65,14 +58,3 @@ def solve_undirected(inst: Instance, exhaustive: bool = False) -> frozenset[int]
     rec(g, budget, frozenset())
     return best[0]
 
-
-def _exhaustive(g: Digraph, terminals: frozenset[int], budget: int) -> frozenset[int] | None:
-    if g.vertex_count > 20:
-        raise ValueError("exhaustive fallback limited to 20 vertices")
-    pool = sorted(g.deletable() - terminals)
-    for size in range(min(budget, len(pool)) + 1):
-        for combo in combinations(pool, size):
-            s = frozenset(combo)
-            if _connected_terminal(g.without_vertices(s), terminals) is None:
-                return s
-    return None

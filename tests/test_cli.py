@@ -1,4 +1,6 @@
+import gc
 import os
+import warnings
 
 import pytest
 
@@ -50,9 +52,8 @@ def test_failed_verification_is_not_reported_as_no(two_cycle_file, capsys, monke
 def test_solve_stdin(two_cycle_file, capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr(
-        "sys.stdin", io.StringIO(open(two_cycle_file, encoding="utf-8").read())
-    )
+    with open(two_cycle_file, encoding="utf-8") as f:
+        monkeypatch.setattr("sys.stdin", io.StringIO(f.read()))
     assert main(["solve", "-"]) == 0
     assert capsys.readouterr().out.startswith("SOLUTION")
 
@@ -99,6 +100,9 @@ def test_enumerate_seps(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert out == f"SEP 2 {fx.a(1)} {fx.a(2)}"
     assert main(["enumerate-seps", str(path), "--source", "", "--target", "0", "--budget", "1"]) == 2
+    negative = ["enumerate-seps", str(path), "--source", "0", "--target", "2", "--budget", "-1"]
+    assert main(negative) == 2
+    assert "budget must be non-negative" in capsys.readouterr().err
 
 
 def test_shadow_command(tmp_path, capsys):
@@ -157,6 +161,17 @@ def test_verify_multicut_rejects_undeletable_vertex(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "INVALID"
     assert main(["solve", str(path)]) == 1
     assert capsys.readouterr().out.strip() == "NO"
+
+
+def test_input_files_are_closed(two_cycle_file, tmp_path, capsys):
+    sol = tmp_path / "answer.txt"
+    sol.write_text("SOLUTION 2 2 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["verify", two_cycle_file, "--solution", str(sol)]) == 0
+        assert main(["solve", two_cycle_file]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_env_seed_with_flag_override(two_cycle_file, capsys, monkeypatch):

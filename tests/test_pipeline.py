@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -65,6 +66,25 @@ def test_agrees_with_brute_force():
         assert (got is None) == (want is None), i
         if got is not None:
             assert verify_solution(inst, got.vertices)
+
+
+def test_solve_path_needs_no_shadow_or_importance_check(monkeypatch):
+    from dmwc import separators, shadows
+
+    def forbidden(*args):
+        raise AssertionError("called on the solve path")
+
+    banned = (shadows.shadow, separators.is_important, separators.is_minimal_separator)
+    for name, module in list(sys.modules.items()):
+        if name == "dmwc" or name.startswith("dmwc."):
+            for attr, obj in list(vars(module).items()):
+                if any(obj is f for f in banned):
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert solve_vertex(hub_fan(3, 2).instance) is not None
+    for seed in (0, 5):  # a NO walks every family, a YES stops at its cut
+        inst = generate_instance(seed, 20, 2.5 / 20, 2, 2)
+        got = solve_vertex(inst)
+        assert (got is None) == (brute_force_mwc(inst) is None), seed
 
 
 def test_failed_verification_raises(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import random_digraph
+from dmwc import separators
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance, min_vertex_separator, reachable_from
 from dmwc.oracle import brute_force_important
@@ -57,6 +58,8 @@ def test_enumerate_edge_cases():
     assert enumerate_important(direct, {0}, {1}, 5) == []
     with pytest.raises(ValueError):
         enumerate_important(g, {0}, {0}, 1)
+    with pytest.raises(ValueError):
+        enumerate_important(g, {1}, {2}, -1)
 
 
 def test_enumerate_matches_brute_force():
@@ -70,6 +73,33 @@ def test_enumerate_matches_brute_force():
                     fast = {s.members for s in enumerate_important(g, {x}, {y}, p)}
                     slow = {s.members for s in brute_force_important(g, {x}, {y}, p)}
                     assert fast == slow, (seed, x, y, p)
+
+
+def test_one_flow_per_recursion_node(monkeypatch):
+    # the filter and the root need no max-flow beyond the recursion's own
+    flows, nodes = [], []
+    real_flow, real_impsep = separators.min_vertex_separator, separators._impsep
+
+    def flow(*args):
+        flows.append(args)
+        return real_flow(*args)
+
+    def impsep(*args):
+        nodes.append(args)
+        return real_impsep(*args)
+
+    monkeypatch.setattr(separators, "min_vertex_separator", flow)
+    monkeypatch.setattr(separators, "_impsep", impsep)
+    fx = hub_fan(3, 2)
+    g, terms = fx.instance.graph, fx.instance.terminals
+    cases = [(g, {v}, terms, 2) for v in sorted(set(g.vertices()) - terms)]
+    for seed in range(10):
+        h = random_digraph(seed, 8, 0.3, 0.15)
+        cases += [(h, {x}, {(x + 1) % 8}, 1 + x % 3) for x in range(8)]
+    for case in cases:
+        enumerate_important(*case)
+    assert len(nodes) > len(cases)
+    assert len(flows) == len(nodes)
 
 
 def test_count_bound():

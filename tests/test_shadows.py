@@ -3,7 +3,9 @@ import pytest
 from conftest import random_digraph, subsets_upto
 from dmwc.fixtures import hub_fan, two_cycle
 from dmwc.graph import Digraph, Instance, reachable_from, reverse
-from dmwc.oracle import brute_force_mwc
+from dmwc.oracle import brute_force_mwc, generate_instance
+from dmwc.pipeline import _second_stage
+from dmwc.sampling import deterministic_sets
 from dmwc.separators import build_collection, is_important
 from dmwc.shadows import is_shadowless, is_thin, shadow
 from dmwc.undirected import underlying_undirected
@@ -96,14 +98,30 @@ def test_exact_shadow_membership_bound():
         assert all(c <= 4**2 for c in counts.values())
 
 
-def test_importance_transfer_to_exact_shadow_vertices():
+def _transfer_instances():
     for seed in range(12):
         g = Digraph(7, random_digraph(seed, 7, 0.35).edges, {0, 1})
-        inst = Instance(g, frozenset({0, 1}), 2)
-        for members in build_collection(inst).member_sets():
-            rep = shadow(g, inst.terminals, members)
+        yield Instance(g, frozenset({0, 1}), 2)
+        # undeletable non-terminals
+        h = random_digraph(seed, 8, 0.35, 0.25)
+        yield Instance(Digraph(8, h.edges, h.infinite | {0, 1}), frozenset({0, 1}), 2)
+    for seed in range(20):
+        inst = generate_instance(seed, 14, 0.18, 2 + seed % 2, 3, 0.15)
+        yield inst
+        for z1 in list(deterministic_sets(inst))[:3]:
+            yield _second_stage(inst, z1)
+
+
+def test_importance_transfer_to_exact_shadow_vertices():
+    # a member's exact reverse shadow is its witness list: the member is
+    # important for every vertex it is a minimal separator for
+    for i, inst in enumerate(_transfer_instances()):
+        g, terms = inst.graph, inst.terminals
+        for entry in build_collection(inst).entries:
+            rep = shadow(g, terms, entry.members)
+            assert rep.exact_reverse == frozenset(entry.witnesses), i
             for v in rep.exact_reverse:
-                assert is_important(g, {v}, inst.terminals, members)
+                assert is_important(g, {v}, terms, entry.members), i
 
 
 def test_minimal_solutions_are_thin():

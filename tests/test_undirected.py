@@ -1,7 +1,6 @@
-import pytest
-
 from conftest import random_digraph
 from dmwc.graph import Digraph, Instance, reachable_from
+from dmwc.oracle import brute_force_mwc
 from dmwc.undirected import solve_undirected, underlying_undirected
 
 
@@ -53,11 +52,8 @@ def test_matches_exhaustive_search():
     for seed in range(80):
         inst = _symmetric_instance(seed, 4 + seed % 6, 0.2 + 0.05 * (seed % 4), 2 + seed % 2, seed % 4)
         got = solve_undirected(inst)
-        want = solve_undirected(inst, exhaustive=True)
-        assert (got is None) == (want is None), seed
-        if got is not None:
-            assert _feasible(inst, got), seed
-            assert len(got) == len(want), seed  # both are minimum size
+        assert got == brute_force_mwc(inst), seed
+        assert got is None or _feasible(inst, got), seed
 
 
 def test_respects_distinguished_vertices():
@@ -77,8 +73,3 @@ def test_budget_monotone():
             bigger = Instance(inst.graph, inst.terminals, 2)
             assert solve_undirected(bigger) is not None
 
-
-def test_exhaustive_cap():
-    g = Digraph(25, [], {0, 1})
-    with pytest.raises(ValueError):
-        solve_undirected(Instance(g, frozenset({0, 1}), 1), exhaustive=True)
