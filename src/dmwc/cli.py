@@ -202,7 +202,9 @@ def _read_solution_ids(path: str) -> list[int]:
     with open(path, encoding="utf-8") as f:
         tokens = f.read().split()
     if tokens and tokens[0] == "SOLUTION":
-        tokens = tokens[2:]
+        count, tokens = tokens[1:2], tokens[2:]
+        if not count or not count[0].isdecimal() or int(count[0]) != len(tokens):
+            raise ValueError(f"SOLUTION line must give the count of its {len(tokens)} id(s)")
     return [int(t) for t in tokens]
 
 

@@ -5,7 +5,7 @@
     n <count>
     p <budget>
     t <id>            (one per terminal; vertex and edge kinds)
-    pair <s> <t>      (one per request pair; multicut2 kind)
+    pair <s> <t>      (exactly two request pairs; multicut2 kind)
     inf <id>          (extra distinguished vertex)
     e <u> <v>         (one per edge, multiplicity by repetition)
 
@@ -28,6 +28,7 @@ KINDS = ("vertex", "edge", "multicut2")
 # not be able to demand unbounded memory.
 MAX_VERTICES = 100_000
 _TOKEN = re.compile(r"\S+")
+_TWO_PAIRS = "multicut2 files need exactly two 'pair' lines"
 
 
 class FormatError(ValueError):
@@ -135,6 +136,8 @@ def parse(text: str) -> ProblemFile:
             need(2)
             if kind != "multicut2":
                 raise FormatError("'pair' lines require the multicut2 kind", line_no, columns[0])
+            if len(pairs) == 2:
+                raise FormatError(_TWO_PAIRS, line_no, columns[0])
             pairs.append(
                 (
                     vertex_id(args[0], line_no, columns[1]),
@@ -162,8 +165,8 @@ def parse(text: str) -> ProblemFile:
     if budget is None:
         raise FormatError("missing 'p' line", 1)
     if kind == "multicut2":
-        if not pairs:
-            raise FormatError("multicut2 files need 'pair' lines", 1)
+        if len(pairs) != 2:
+            raise FormatError(_TWO_PAIRS, 1)
     elif not terminals:
         raise FormatError(f"{kind} files need 't' lines", 1)
 

@@ -57,19 +57,6 @@ class Digraph:
     def deletable(self) -> frozenset[int]:
         return frozenset(self.vertices()) - self.infinite
 
-    def without_vertices(self, removed: Iterable[int]) -> "Digraph":
-        """Copy with all edges incident to `removed` dropped.
-
-        Vertex ids are kept stable; the removed vertices stay as isolated
-        vertices, which is harmless for separator and reachability logic.
-        """
-        gone = frozenset(removed)
-        return Digraph(
-            self.vertex_count,
-            [(u, v) for u, v in self.edges if u not in gone and v not in gone],
-            self.infinite - gone,
-        )
-
     def _key(self):
         return (self.vertex_count, tuple(sorted(self.edges)), self.infinite)
 
@@ -177,32 +164,34 @@ def neighborhood_weight(g: Digraph, a: Iterable[int], infinite_weight: int) -> i
 
 
 def min_vertex_separator(
-    g: Digraph, x: Iterable[int], y: Iterable[int]
+    g: Digraph, x: Iterable[int], y: Iterable[int], removed: Iterable[int] = ()
 ) -> tuple[int, frozenset[int]] | None:
-    """Minimum x-y vertex separator with inclusion-maximal reach from x.
+    """Minimum x-y separator in g minus `removed` with inclusion-maximal reach from x.
 
     Realized by max-flow on the in/out node-splitting network, kept implicit:
     node 2v is v_in, node 2v+1 is v_out, and their arcs come from g's
     adjacency.  The split arc v_in -> v_out has capacity one for a deletable
-    vertex outside x and y; every other forward arc is unbounded, and reverse
-    arcs have capacity zero.  Once no x-y path runs through undeletable
-    vertices alone the maximum flow is finite, so adding one unit per
-    augmenting path ends after lambda paths.  The unique max-reach minimum separator is read off the
-    residual graph: it consists of the saturated split arcs on the boundary
-    of the set of nodes that cannot reach the sink side.  Self-loops lie on
-    no path and are skipped.
+    vertex outside x, y and `removed`; every other forward arc is unbounded,
+    and reverse arcs have capacity zero.  Removed vertices have no arcs at
+    all, so they never carry flow or join the separator.  Once no x-y path
+    runs through undeletable vertices alone the maximum flow is finite, so
+    adding one unit per augmenting path ends after lambda paths.  The unique
+    max-reach minimum separator is read off the residual graph: it consists
+    of the saturated split arcs on the boundary of the set of nodes that
+    cannot reach the sink side.  Self-loops lie on no path and are skipped.
 
     Returns (lambda, separator), or None when no finite separator exists
     (an x-to-y path through only undeletable vertices).
     """
     xs = _check_ids(g, x)
     ys = _check_ids(g, y)
+    gone = _check_ids(g, removed)
     if not xs or not ys:
         raise ValueError("x and y must be non-empty")
-    if xs & ys:
-        raise ValueError("x and y must be disjoint")
-    cuttable = g.deletable() - xs - ys
-    if reachable_from(g, xs, cuttable) & ys:
+    if xs & ys or gone & (xs | ys):
+        raise ValueError("x, y and removed must be pairwise disjoint")
+    cuttable = g.deletable() - xs - ys - gone
+    if reachable_from(g, xs, cuttable | gone) & ys:
         return None
 
     succ, pred = g.successors, g.predecessors
@@ -213,7 +202,7 @@ def min_vertex_separator(
         v, side = a >> 1, a & 1
         yield a ^ 1
         for w in succ(v) if side else pred(v):
-            if w != v:
+            if w != v and w not in gone:
                 yield 2 * w + 1 - side
 
     flow: dict[tuple[int, int], int] = {}  # net flow, flow[b, a] == -flow[a, b]

@@ -2,7 +2,8 @@
 
 The enumeration follows the branch-on-a-min-cut-vertex recursion: compute the
 max-reach minimum separator, pick its smallest vertex v, and recurse once with
-v deleted (budget minus one) and once with the source side pushed past v.
+v added to the removed set (budget minus one; g itself is never copied) and
+once with the source side pushed past v.
 The recursion over-approximates, so a candidate is dropped when another
 candidate of no larger size reaches every vertex it reaches from x.  This is
 exact: the recursion returns every important separator of size at most p,
@@ -91,20 +92,21 @@ def is_important(
 
 
 def enumerate_important(
-    g: Digraph, x: Iterable[int], y: Iterable[int], p: int
+    g: Digraph, x: Iterable[int], y: Iterable[int], p: int, removed: Iterable[int] = ()
 ) -> list[Separator]:
-    """All important x-y separators of size at most p, canonically ordered.
+    """All important x-y separators of size at most p in g minus `removed`,
+    canonically ordered.
 
     Returns [empty separator] when x cannot reach y and [] when even the
     minimum separator exceeds p (or only infinite vertices could separate).
     """
-    xs, ys = frozenset(x), frozenset(y)
+    xs, ys, gone = frozenset(x), frozenset(y), frozenset(removed)
     if xs & ys:
         raise ValueError("x and y must be disjoint")
     if p < 0:
         raise ValueError("budget must be non-negative")
-    candidates = _impsep(g, xs, ys, p, 2 * p + 1)
-    reach = {s: reachable_from(g, xs, s) for s in candidates}
+    candidates = _impsep(g, xs, ys, p, gone, 2 * p + 1)
+    reach = {s: reachable_from(g, xs, s | gone) for s in candidates}
     return [
         Separator(s, xs, ys)
         for s in sorted(candidates, key=canonical_order)
@@ -115,11 +117,12 @@ def enumerate_important(
 
 
 def _impsep(
-    g: Digraph, x: frozenset[int], y: frozenset[int], p: int, guard: int
+    g: Digraph, x: frozenset[int], y: frozenset[int], p: int, gone: frozenset[int],
+    guard: int,
 ) -> set[frozenset[int]]:
     if guard < 0:
         raise RuntimeError("important-separator recursion exceeded depth bound")
-    found = min_vertex_separator(g, x, y)
+    found = min_vertex_separator(g, x, y, gone)
     if found is None:
         return set()
     lam, s_star = found
@@ -130,10 +133,10 @@ def _impsep(
     v = min(s_star)  # fixed pivot for reproducible enumeration order
     out: set[frozenset[int]] = set()
     if p >= 1:
-        for s in _impsep(g.without_vertices({v}), x, y, p - 1, guard - 1):
+        for s in _impsep(g, x, y, p - 1, gone | {v}, guard - 1):
             out.add(s | {v})
-    pushed = reachable_from(g, x, s_star) | {v}
-    out |= _impsep(g, frozenset(pushed), y, p, guard - 1)
+    pushed = reachable_from(g, x, s_star | gone) | {v}
+    out |= _impsep(g, pushed, y, p, gone, guard - 1)
     return out
 
 

@@ -17,10 +17,12 @@ def underlying_undirected(g: Digraph) -> Digraph:
     return Digraph(g.vertex_count, sorted(arcs), g.infinite)
 
 
-def _connected_terminal(g: Digraph, terminals: frozenset[int]) -> int | None:
-    """Smallest terminal still connected to another terminal, or None."""
+def _connected_terminal(
+    g: Digraph, terminals: frozenset[int], removed: frozenset[int]
+) -> int | None:
+    """Smallest terminal still reaching another one in g minus `removed`, or None."""
     for t in sorted(terminals):
-        if reachable_from(g, {t}) & (terminals - {t}):
+        if reachable_from(g, {t}, removed) & (terminals - {t}):
             return t
     return None
 
@@ -41,20 +43,19 @@ def solve_undirected(inst: Instance) -> frozenset[int] | None:
         cur = best[0]
         return cur is None or (len(s), sorted(s)) < (len(cur), sorted(cur))
 
-    def rec(h: Digraph, remaining: int, acc: frozenset[int]) -> None:
+    def rec(acc: frozenset[int]) -> None:
+        # the state is the cut so far: g minus acc, with budget - |acc| left
         if best[0] is not None and len(acc) > len(best[0]):
             return
-        t = _connected_terminal(h, terminals)
+        t = _connected_terminal(g, terminals, acc)
         if t is None:
             if better(acc):
                 best[0] = acc
             return
-        if remaining == 0:
+        if len(acc) == budget:
             return
-        for sep in enumerate_important(h, {t}, terminals - {t}, remaining):
-            members = sep.members
-            rec(h.without_vertices(members), remaining - len(members), acc | members)
+        for sep in enumerate_important(g, {t}, terminals - {t}, budget - len(acc), acc):
+            rec(acc | sep.members)
 
-    rec(g, budget, frozenset())
+    rec(frozenset())
     return best[0]
-

@@ -20,6 +20,23 @@ def random_digraph(seed, n, density, inf_frac=0.0):
     return Digraph(n, edges, infinite)
 
 
+def minus(g, removed):
+    """g minus `removed`, built by hand: same ids, edges touching a removed
+    vertex dropped, removed vertices no longer undeletable."""
+    gone = frozenset(removed)
+    return Digraph(
+        g.vertex_count,
+        [(u, v) for u, v in g.edges if u not in gone and v not in gone],
+        g.infinite - gone,
+    )
+
+
+def with_loops_and_repeats(g):
+    """g plus a self-loop on every even vertex and a repeat of every other edge."""
+    extra = [(v, v) for v in range(0, g.vertex_count, 2)] + list(g.edges[::2])
+    return Digraph(g.vertex_count, g.edges + tuple(extra), g.infinite)
+
+
 def small_instances(count, seed0=0, max_n=9, max_p=2):
     """Deterministic mixed corpus weighted toward tiny graphs."""
     out = []

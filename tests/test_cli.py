@@ -150,6 +150,20 @@ def test_verify_round_trip(two_cycle_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "INVALID"
 
 
+def test_verify_rejects_malformed_solution_line(two_cycle_file, tmp_path, capsys):
+    # the count must be an integer equal to the number of ids that follow
+    sol = tmp_path / "answer.txt"
+    for text in ("SOLUTION 5 2\n", "SOLUTION x 2\n", "SOLUTION\n"):
+        sol.write_text(text)
+        assert main(["verify", two_cycle_file, "--solution", str(sol)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    sol.write_text("2 3\n")  # a bare id list stays valid
+    assert main(["verify", two_cycle_file, "--solution", str(sol)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+
+
 def test_verify_multicut_rejects_undeletable_vertex(tmp_path, capsys):
     # cutting 4 would separate both pairs, but 4 is an `inf` vertex
     path = tmp_path / "mc.dmwc"

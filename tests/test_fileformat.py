@@ -94,6 +94,15 @@ def test_out_of_range_ids_carry_their_position():
     assert err.column == 3
 
 
+def test_multicut2_takes_exactly_two_pairs():
+    text = "dmwc multicut2\nn 6\np 1\npair 0 1\npair 2 3\n  pair 4 5\n"
+    err = _fails_at(text, 6)
+    assert err.column == 3
+    assert "exactly two 'pair' lines" in str(err)
+    err = _fails_at("dmwc multicut2\nn 3\np 1\npair 0 1\n", 1)
+    assert "exactly two 'pair' lines" in str(err)
+
+
 def test_duplicate_header_lines_rejected():
     err = _fails_at("dmwc vertex\nn 3\np 1\nt 0\np 2\n", 5)
     assert "duplicate 'p'" in str(err)

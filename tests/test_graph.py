@@ -2,7 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import random_digraph, subsets_upto
+from conftest import random_digraph, subsets_upto, with_loops_and_repeats
 from dmwc.fixtures import hub_fan
 from dmwc.graph import (
     Digraph,
@@ -130,16 +130,10 @@ def _is_sep(g, x, y, s):
     return not reachable_from(g, x, s) & y
 
 
-def _with_loops_and_repeats(g):
-    """g plus a self-loop on every even vertex and a repeat of every other edge."""
-    extra = [(v, v) for v in range(0, g.vertex_count, 2)] + list(g.edges[::2])
-    return Digraph(g.vertex_count, g.edges + tuple(extra), g.infinite)
-
-
 def test_min_separator_matches_brute_force():
     for seed in range(60):
         plain = random_digraph(seed, 6, 0.3, 0.15)
-        for g in (plain, _with_loops_and_repeats(plain)):
+        for g in (plain, with_loops_and_repeats(plain)):
             for x, y in permutations(range(6), 2):
                 xs, ys = frozenset({x}), frozenset({y})
                 pool = sorted(set(range(6)) - xs - ys - g.infinite)
@@ -232,11 +226,3 @@ def test_separator_closure_under_neighborhood_of_reach():
                         for region in (r1 | r2, r1 & r2):
                             cand = out_neighborhood(g, region)
                             assert _is_sep(g, xs, ys, cand)
-
-
-def test_without_vertices_keeps_ids_stable():
-    g = Digraph(4, [(0, 1), (1, 2), (2, 3)], {0})
-    h = g.without_vertices({1})
-    assert h.vertex_count == 4
-    assert h.edges == ((2, 3),)
-    assert reachable_from(h, {0}) == {0}

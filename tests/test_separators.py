@@ -1,10 +1,14 @@
+from itertools import permutations
+
 import pytest
 
-from conftest import random_digraph
+from conftest import minus, random_digraph, with_loops_and_repeats
 from dmwc import separators
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance, min_vertex_separator, reachable_from
-from dmwc.oracle import brute_force_important
+from dmwc.oracle import brute_force_important, generate_instance
+from dmwc.rng import SplitMix64
+from dmwc.undirected import solve_undirected, underlying_undirected
 from dmwc.separators import (
     build_collection,
     enumerate_important,
@@ -102,6 +106,65 @@ def test_one_flow_per_recursion_node(monkeypatch):
     assert len(flows) == len(nodes)
 
 
+def test_removed_set_matches_graph_minus_it():
+    # every call with removed=R equals the same call on G - R built by hand
+    rng, cases = SplitMix64(5), []
+    for seed in range(30):
+        g = with_loops_and_repeats(random_digraph(seed, 7, 0.3, 0.25))
+        for x, y in permutations(range(7), 2):
+            removed = frozenset(
+                v for v in range(7) if v not in (x, y) and rng.unit() < 0.25
+            )
+            h = minus(g, removed)
+            assert min_vertex_separator(g, {x}, {y}, removed) == min_vertex_separator(
+                h, {x}, {y}
+            )
+            for p in (1, 2):
+                cases.append((g, h, x, y, p, removed))
+    # larger cases where the dominance filter goes wrong if it measures reach
+    # through removed vertices
+    for seed, x, y, removed in ((26, 1, 2, {5, 9}), (50, 0, 5, {2})):
+        g = with_loops_and_repeats(random_digraph(seed, 10, 0.35, 0.2))
+        cases.append((g, minus(g, removed), x, y, 3, frozenset(removed)))
+    for g, h, x, y, p, removed in cases:
+        fast = enumerate_important(g, {x}, {y}, p, removed)
+        assert fast == enumerate_important(h, {x}, {y}, p)
+        slow = brute_force_important(h, {x}, {y}, p)
+        assert {s.members for s in fast} == {s.members for s in slow}
+
+
+def test_removed_set_validates():
+    g = Digraph(4, [(0, 1), (1, 2), (2, 3)], {0, 3})
+    for bad in ({0}, {3}, {0, 1}, {4}, {-1}):
+        with pytest.raises(ValueError):
+            min_vertex_separator(g, {0}, {3}, bad)
+        with pytest.raises(ValueError):
+            enumerate_important(g, {0}, {3}, 2, bad)
+
+
+def test_removed_sets_build_no_graphs(monkeypatch):
+    # enumeration and the undirected solver work on g minus a removed set and
+    # never construct a Digraph of their own
+    insts = [generate_instance(seed, 12, 0.15, 3, 3, 0.1) for seed in range(6)]
+    cases = [Instance(underlying_undirected(i.graph), i.terminals, i.budget) for i in insts]
+    built = []
+    real_init = Digraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Digraph, "__init__", counting_init)
+    cuts = []
+    for inst in cases:
+        g, terms = inst.graph, inst.terminals
+        for v in sorted(set(g.vertices()) - terms):
+            enumerate_important(g, {v}, terms, inst.budget)
+        cuts.append(solve_undirected(inst))
+    assert built == []
+    assert any(cuts)  # some solve recursed below a non-empty cut so far
+
+
 def test_count_bound():
     for seed in range(40):
         g = random_digraph(seed, 8, 0.3)
@@ -131,7 +194,7 @@ def test_deleted_pivot_property():
                     continue
                 for sep in enumerate_important(g, {x}, {y}, 2):
                     for v in sep.members:
-                        h = g.without_vertices({v})
+                        h = minus(g, {v})
                         assert is_important(h, {x}, {y}, sep.members - {v})
 
 
