@@ -1,38 +1,39 @@
 """Fixed-parameter solver for directed multiway cut.
 
-The solver combines important-separator enumeration, shadow-based candidate
-sampling (randomized or derandomized), the torso reduction, and an undirected
-multiway-cut sub-solver, with brute-force oracles for small-scale
-cross-validation.
+The solve path combines important-separator enumeration, candidate sampling
+over exact reverse shadows (randomized or derandomized), the torso
+reduction, and an undirected multiway-cut sub-solver.  The definitional
+predicates in `shadows` (shadows, thinness, minimality, importance) and the
+brute-force oracles are references for the CLI and for small-scale
+cross-validation; the solver never calls them.
 """
 
 from .graph import (
     Digraph,
     Instance,
     min_vertex_separator,
-    out_neighborhood,
     reachable_from,
     reverse,
 )
 from .oracle import brute_force_important, brute_force_mwc, generate_instance
 from .pipeline import (
     Solution,
-    allow_terminal_deletion,
     solve_edge,
     solve_multicut_k2,
     solve_vertex,
     verify_solution,
 )
 from .sampling import CandidateFamily, deterministic_sets, random_set
-from .separators import (
-    ImportantCollection,
-    Separator,
-    build_collection,
-    enumerate_important,
+from .separators import build_collection, enumerate_important
+from .shadows import (
+    ShadowReport,
     is_important,
     is_minimal_separator,
+    is_shadowless,
+    is_thin,
+    out_neighborhood,
+    shadow,
 )
-from .shadows import ShadowReport, is_shadowless, is_thin, shadow
 from .torso import reduce_instance, torso
 from .undirected import solve_undirected, underlying_undirected
 
@@ -40,18 +41,16 @@ __all__ = [
     "Digraph",
     "Instance",
     "Solution",
-    "Separator",
-    "ImportantCollection",
     "ShadowReport",
     "CandidateFamily",
     "reachable_from",
-    "out_neighborhood",
     "reverse",
     "min_vertex_separator",
-    "is_minimal_separator",
-    "is_important",
     "enumerate_important",
     "build_collection",
+    "out_neighborhood",
+    "is_minimal_separator",
+    "is_important",
     "shadow",
     "is_thin",
     "is_shadowless",
@@ -65,7 +64,6 @@ __all__ = [
     "solve_edge",
     "solve_multicut_k2",
     "verify_solution",
-    "allow_terminal_deletion",
     "brute_force_mwc",
     "brute_force_important",
     "generate_instance",

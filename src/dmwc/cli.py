@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Sequence
 
-from .fileformat import FormatError, ProblemFile, parse, serialize
+from .fileformat import MAX_VERTICES, FormatError, ProblemFile, parse, serialize
 from .fixtures import named_fixture
 from .graph import Instance
 from .oracle import generate_instance
@@ -154,7 +154,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print("error: source and target must be non-empty and disjoint", file=sys.stderr)
         return 2
     for sep in enumerate_important(pf.graph, source, target, args.budget):
-        members = sorted(sep.members)
+        members = sorted(sep)
         print(f"SEP {len(members)} " + " ".join(map(str, members)) if members
               else "SEP 0")
     return 0
@@ -187,6 +187,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.fixture is not None:
         inst = named_fixture(args.fixture)
     else:
+        if args.n > MAX_VERTICES:  # parse would reject the file anyway
+            print(f"error: --n {args.n} exceeds the limit {MAX_VERTICES}", file=sys.stderr)
+            return 2
         seed = args.seed if args.seed is not None else _env_int("DMWC_SEED", 0)
         inst = generate_instance(
             seed, args.n, args.density, args.k, args.p, args.infinite_fraction

@@ -1,4 +1,4 @@
-"""Directed multigraph core: reachability, out-neighborhoods and the
+"""Directed multigraph core: reachability, the multiway-cut check and the
 unit-vertex-capacity minimum separator with inclusion-maximal reach.
 
 Vertices are dense integers 0..n-1.  A distinguished ("infinite weight")
@@ -127,40 +127,15 @@ def reachable_from(
     return frozenset(seen)
 
 
-def reaches_into(
-    g: Digraph, targets: Iterable[int], removed: Iterable[int] = ()
-) -> frozenset[int]:
-    """Vertices with a path into `targets` in g minus `removed` (targets included)."""
-    tgt = _check_ids(g, targets)
-    gone = _check_ids(g, removed)
-    if tgt & gone:
-        raise ValueError("targets and removed must be disjoint")
-    seen = set(tgt)
-    queue = deque(tgt)
-    while queue:
-        u = queue.popleft()
-        for w in g.predecessors(u):
-            if w not in seen and w not in gone:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
-def out_neighborhood(g: Digraph, a: Iterable[int]) -> frozenset[int]:
-    """N+(a): vertices outside `a` with an in-edge from `a`."""
-    aset = _check_ids(g, a)
-    out: set[int] = set()
-    for u in aset:
-        out.update(g.successors(u))
-    return frozenset(out - aset)
-
-
-def neighborhood_weight(g: Digraph, a: Iterable[int], infinite_weight: int) -> int:
-    """Weighted |N+(a)| with undeletable vertices counted at `infinite_weight`."""
-    total = 0
-    for v in out_neighborhood(g, a):
-        total += infinite_weight if v in g.infinite else 1
-    return total
+def connected_terminal(
+    g: Digraph, terminals: frozenset[int], removed: Iterable[int]
+) -> int | None:
+    """Smallest terminal still reaching another one in g minus `removed`, or
+    None when `removed` is a multiway cut."""
+    for t in sorted(terminals):
+        if reachable_from(g, {t}, removed) & (terminals - {t}):
+            return t
+    return None
 
 
 def min_vertex_separator(
@@ -175,7 +150,9 @@ def min_vertex_separator(
     and reverse arcs have capacity zero.  Removed vertices have no arcs at
     all, so they never carry flow or join the separator.  Once no x-y path
     runs through undeletable vertices alone the maximum flow is finite, so
-    adding one unit per augmenting path ends after lambda paths.  The unique
+    adding one unit per augmenting path ends after lambda paths; a flow
+    above the number of unit arcs would mean that check and the capacities
+    disagree, and raises RuntimeError instead of looping.  The unique
     max-reach minimum separator is read off the residual graph: it consists
     of the saturated split arcs on the boundary of the set of nodes that
     cannot reach the sink side.  Self-loops lie on no path and are skipped.
@@ -239,6 +216,8 @@ def min_vertex_separator(
             flow[b, a] = flow.get((b, a), 0) - 1
             b = a
         value += 1
+        if value > len(cuttable):  # a finite flow saturates distinct unit arcs
+            raise RuntimeError("max-flow exceeded the number of deletable vertices")
 
     # Nodes with a residual path into the sink side; their complement is the
     # inclusion-maximal source side.

@@ -10,19 +10,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .fixtures import named_fixture
-from .graph import Digraph, Instance, reachable_from
+from .graph import Digraph, Instance, connected_terminal, reachable_from
 from .rng import SplitMix64
-from .separators import Separator, canonical_order, is_minimal_separator
+from .separators import canonical_order
+from .shadows import is_minimal_separator
 
 DEFAULT_CAP = 20
-
-
-def _cut_ok(g: Digraph, terminals: frozenset[int], s: frozenset[int]) -> bool:
-    for t in terminals:
-        if reachable_from(g, {t}, s) & (terminals - {t}):
-            return False
-    return True
 
 
 def brute_force_mwc(inst: Instance, cap: int = DEFAULT_CAP) -> frozenset[int] | None:
@@ -37,7 +30,7 @@ def brute_force_mwc(inst: Instance, cap: int = DEFAULT_CAP) -> frozenset[int] | 
     for size in range(min(inst.budget, len(pool)) + 1):
         for combo in combinations(pool, size):
             s = frozenset(combo)
-            if _cut_ok(g, inst.terminals, s):
+            if connected_terminal(g, inst.terminals, s) is None:
                 return s
     return None
 
@@ -48,7 +41,7 @@ def brute_force_important(
     y: Iterable[int],
     p: int,
     cap: int = DEFAULT_CAP,
-) -> list[Separator]:
+) -> list[frozenset[int]]:
     """All important x-y separators of size <= p, straight from the
     definition: minimal separators not dominated by any same-or-smaller
     separator with strictly larger reach."""
@@ -71,9 +64,8 @@ def brute_force_important(
             len(s2) <= len(s) and reach < reach2 for s2, reach2 in seps
         )
         if not dominated:
-            out.append(Separator(s, xs, ys))
-    out.sort(key=lambda sep: canonical_order(sep.members))
-    return out
+            out.append(s)
+    return sorted(out, key=canonical_order)
 
 
 def generate_instance(
@@ -113,5 +105,4 @@ __all__ = [
     "brute_force_mwc",
     "brute_force_important",
     "generate_instance",
-    "named_fixture",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Digraph, Instance, reachable_from, reverse
+from .graph import Digraph, Instance, connected_terminal, reachable_from
 from .rng import SplitMix64
 from .sampling import deterministic_sets, random_set
 from .torso import reduce_instance
@@ -44,10 +44,7 @@ def verify_solution(inst: Instance, s: Iterable[int]) -> bool:
         return False
     if not ss <= frozenset(g.vertices()):
         return False
-    for t in inst.terminals:
-        if reachable_from(g, {t}, ss) & (inst.terminals - {t}):
-            return False
-    return True
+    return connected_terminal(g, inst.terminals, ss) is None
 
 
 def verify_edge_cut(inst: Instance, edges: Iterable[int]) -> bool:
@@ -133,31 +130,6 @@ def solve_vertex(
             if tried[z] is not None:
                 return tried[z]
     return None
-
-
-@dataclass(frozen=True)
-class TerminalFreeInstance:
-    """Instance where the old terminals became deletable; each new terminal
-    t' is tied to its old terminal by a 2-cycle.  A cut using old terminal t
-    in the original problem corresponds to a cut using t here."""
-
-    instance: Instance
-    new_terminal_of: dict[int, int]  # old terminal -> fresh terminal id
-
-
-def allow_terminal_deletion(inst: Instance) -> TerminalFreeInstance:
-    g = inst.graph
-    old_terms = sorted(inst.terminals)
-    n = g.vertex_count
-    fresh = {t: n + i for i, t in enumerate(old_terms)}
-    edges = list(g.edges)
-    for t in old_terms:
-        edges.append((t, fresh[t]))
-        edges.append((fresh[t], t))
-    infinite = (g.infinite - inst.terminals) | set(fresh.values())
-    g2 = Digraph(n + len(old_terms), edges, infinite)
-    new_terms = frozenset(fresh.values())
-    return TerminalFreeInstance(Instance(g2, new_terms, inst.budget), fresh)
 
 
 def solve_edge(

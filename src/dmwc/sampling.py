@@ -39,17 +39,10 @@ def _member_shadows(
     paired with the universe index of its exact reverse shadow.  One
     collection build per family; a member's exact reverse shadow is the set
     of its witnesses (the module docstring says why)."""
-    entries = build_collection(inst).entries
-    shadows = [frozenset(e.witnesses) for e in entries]
-    universe = tuple(sorted(set(shadows), key=canonical_order))
+    shadows = {m: frozenset(w) for m, w in build_collection(inst).items()}
+    universe = tuple(sorted(set(shadows.values()), key=canonical_order))
     index_of = {z: i for i, z in enumerate(universe)}
-    return universe, [(e.members, index_of[z]) for e, z in zip(entries, shadows)]
-
-
-def shadow_universe(inst: Instance) -> tuple[frozenset[int], ...]:
-    """Distinct exact reverse shadows of the important-separator collection,
-    in canonical order."""
-    return _member_shadows(inst)[0]
+    return universe, [(m, index_of[z]) for m, z in shadows.items()]
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,7 @@ class RandomDraw:
 
 
 def random_draw(inst: Instance, seed: int) -> RandomDraw:
-    universe = shadow_universe(inst)
+    universe = _member_shadows(inst)[0]
     rng = SplitMix64(seed)
     coins = tuple(rng.coin() for _ in universe)
     z: set[int] = set()

@@ -1,4 +1,7 @@
-"""Forward, reverse and exact shadows of a vertex set, plus thinness.
+"""Reference predicates, written straight from their definitions: reverse
+reachability, out-neighbourhoods, separators, minimality, importance,
+shadows and thinness.  Nothing on the solve path calls them; they back the
+CLI's `shadow` command and the tests that check the solver's shortcuts.
 
 The reverse shadow of S holds the vertices that S cuts off from reaching T;
 the forward shadow holds the vertices T can no longer reach.  A vertex is in
@@ -8,11 +11,86 @@ i.e. every member of S is doing work.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Digraph, reachable_from, reaches_into, reverse
-from .separators import is_minimal_separator
+from .graph import Digraph, _check_ids, min_vertex_separator, reachable_from, reverse
+
+
+def reaches_into(
+    g: Digraph, targets: Iterable[int], removed: Iterable[int] = ()
+) -> frozenset[int]:
+    """Vertices with a path into `targets` in g minus `removed` (targets included)."""
+    tgt = _check_ids(g, targets)
+    gone = _check_ids(g, removed)
+    if tgt & gone:
+        raise ValueError("targets and removed must be disjoint")
+    seen = set(tgt)
+    queue = deque(tgt)
+    while queue:
+        u = queue.popleft()
+        for w in g.predecessors(u):
+            if w not in seen and w not in gone:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+def out_neighborhood(g: Digraph, a: Iterable[int]) -> frozenset[int]:
+    """N+(a): vertices outside `a` with an in-edge from `a`."""
+    aset = _check_ids(g, a)
+    out: set[int] = set()
+    for u in aset:
+        out.update(g.successors(u))
+    return frozenset(out - aset)
+
+
+def neighborhood_weight(g: Digraph, a: Iterable[int], infinite_weight: int) -> int:
+    """Weighted |N+(a)| with undeletable vertices counted at `infinite_weight`."""
+    total = 0
+    for v in out_neighborhood(g, a):
+        total += infinite_weight if v in g.infinite else 1
+    return total
+
+
+def is_separator(
+    g: Digraph, x: Iterable[int], y: Iterable[int], s: Iterable[int]
+) -> bool:
+    xs, ys, ss = frozenset(x), frozenset(y), frozenset(s)
+    if ss & (xs | ys | g.infinite):
+        return False
+    return not reachable_from(g, xs, ss) & ys
+
+
+def is_minimal_separator(
+    g: Digraph, x: Iterable[int], y: Iterable[int], s: Iterable[int]
+) -> bool:
+    """True iff s separates and dropping any single vertex restores a path."""
+    xs, ys, ss = frozenset(x), frozenset(y), frozenset(s)
+    if not is_separator(g, xs, ys, ss):
+        return False
+    for v in ss:
+        if not reachable_from(g, xs, ss - {v}) & ys:
+            return False
+    return True
+
+
+def is_important(
+    g: Digraph, x: Iterable[int], y: Iterable[int], s: Iterable[int]
+) -> bool:
+    """True iff s is the unique minimum separator between its own
+    reach from x and y.  For a minimal separator this is equivalent to no
+    same-or-smaller separator having strictly larger reach."""
+    xs, ys, ss = frozenset(x), frozenset(y), frozenset(s)
+    if not is_separator(g, xs, ys, ss):
+        return False
+    reach = reachable_from(g, xs, ss)
+    found = min_vertex_separator(g, reach, ys)
+    if found is None:
+        return False
+    lam, s_star = found
+    return lam == len(ss) and s_star == ss
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ important terminal separators over the symmetric digraph."""
 
 from __future__ import annotations
 
-from .graph import Digraph, Instance, reachable_from
+from .graph import Digraph, Instance, connected_terminal
 from .separators import enumerate_important
 
 
@@ -15,16 +15,6 @@ def underlying_undirected(g: Digraph) -> Digraph:
         arcs.add((u, v))
         arcs.add((v, u))
     return Digraph(g.vertex_count, sorted(arcs), g.infinite)
-
-
-def _connected_terminal(
-    g: Digraph, terminals: frozenset[int], removed: frozenset[int]
-) -> int | None:
-    """Smallest terminal still reaching another one in g minus `removed`, or None."""
-    for t in sorted(terminals):
-        if reachable_from(g, {t}, removed) & (terminals - {t}):
-            return t
-    return None
 
 
 def solve_undirected(inst: Instance) -> frozenset[int] | None:
@@ -47,7 +37,7 @@ def solve_undirected(inst: Instance) -> frozenset[int] | None:
         # the state is the cut so far: g minus acc, with budget - |acc| left
         if best[0] is not None and len(acc) > len(best[0]):
             return
-        t = _connected_terminal(g, terminals, acc)
+        t = connected_terminal(g, terminals, acc)
         if t is None:
             if better(acc):
                 best[0] = acc
@@ -55,7 +45,7 @@ def solve_undirected(inst: Instance) -> frozenset[int] | None:
         if len(acc) == budget:
             return
         for sep in enumerate_important(g, {t}, terminals - {t}, budget - len(acc), acc):
-            rec(acc | sep.members)
+            rec(acc | sep)
 
     rec(frozenset())
     return best[0]

@@ -5,13 +5,7 @@ from functools import lru_cache
 
 from conftest import random_digraph, small_instances, subsets_upto
 from dmwc.fixtures import hub_fan
-from dmwc.graph import (
-    Digraph,
-    Instance,
-    min_vertex_separator,
-    neighborhood_weight,
-    reachable_from,
-)
+from dmwc.graph import Digraph, min_vertex_separator, reachable_from
 from dmwc.oracle import (
     brute_force_important,
     brute_force_mwc,
@@ -21,7 +15,7 @@ from dmwc.pipeline import solve_edge, solve_multicut_k2, solve_vertex, verify_so
 from dmwc.rng import SplitMix64
 from dmwc.sampling import deterministic_sets
 from dmwc.separators import build_collection, enumerate_important
-from dmwc.shadows import is_thin, shadow
+from dmwc.shadows import is_thin, neighborhood_weight, shadow
 from dmwc.torso import torso
 
 MAX_P = 3
@@ -48,9 +42,7 @@ def _separator_corpus():
                     continue
                 found = min_vertex_separator(g, {x}, {y})
                 lam = None if found is None else found[0]
-                seps = {
-                    s.members for s in enumerate_important(g, {x}, {y}, MAX_P)
-                }
+                seps = set(enumerate_important(g, {x}, {y}, MAX_P))
                 pairs.append((x, y, lam, seps))
         corpus.append((g, pairs))
     return corpus
@@ -79,9 +71,7 @@ def test_criterion_02_enumeration_matches_brute_force(capsys):
     mismatches = 0
     for g, pairs in _separator_corpus():
         for x, y, lam, seps in pairs:
-            slow = {
-                s.members for s in brute_force_important(g, {x}, {y}, MAX_P)
-            }
+            slow = set(brute_force_important(g, {x}, {y}, MAX_P))
             if seps != slow:
                 mismatches += 1
     _report(capsys, "criterion 2: enumeration equals brute force", mismatches == 0)
@@ -90,7 +80,7 @@ def test_criterion_02_enumeration_matches_brute_force(capsys):
 def test_criterion_03_hub_fan_fixture(capsys):
     fx = hub_fan(3, 2, budget=2)
     a1, a2, a3 = fx.a(1), fx.a(2), fx.a(3)
-    sets = set(build_collection(fx.instance).member_sets())
+    sets = set(build_collection(fx.instance))
     expect = {
         frozenset({a1}),
         frozenset({a2}),
@@ -154,14 +144,14 @@ def test_criterion_06_deterministic_sampling_coverage(capsys):
     for i in range(50):
         inst = generate_instance(6000 + i, 5 + i % 5, 0.2 + 0.04 * (i % 4), 2, i % 3)
         g = inst.graph
-        entries = build_collection(inst).entries
+        collection = build_collection(inst)
         family = list(deterministic_sets(inst))
         pool = sorted(g.deletable() - inst.terminals)
         for s in subsets_upto(pool, inst.budget):
             if not is_thin(g, inst.terminals, s):
                 continue
             y = frozenset(
-                w for e in entries if e.members <= s for w in e.witnesses
+                w for members, ws in collection.items() if members <= s for w in ws
             )
             ok = ok and any(not s & z and y <= z for z in family)
     _report(capsys, "criterion 6: deterministic sampling coverage", ok)

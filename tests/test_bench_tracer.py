@@ -1,0 +1,56 @@
+"""The bench tracer reaches into dmwc by module and function name; these
+checks fail when a layer module or a public name it relies on goes away."""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import dmwc
+import dmwc.fileformat  # noqa: F401  the bench imports the file reader itself
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every function bound in a dmwc module, and Digraph.__init__."""
+    out = {
+        (name, attr): obj
+        for name, module in sys.modules.items()
+        if name == "dmwc" or name.startswith("dmwc.")
+        for attr, obj in vars(module).items()
+        if inspect.isfunction(obj)
+    }
+    out["Digraph.__init__"] = dmwc.Digraph.__init__
+    return out
+
+
+def test_every_layer_is_a_loaded_module():
+    tracer = _load_tracer()
+    missing = [layer for layer in tracer.LAYERS if f"dmwc.{layer}" not in sys.modules]
+    assert missing == []
+
+
+def test_install_and_uninstall_restore_the_functions():
+    tracer = _load_tracer().Tracer()
+    before = _bindings()
+    tracer.install()
+    try:
+        assert dmwc.solve_vertex is not before[("dmwc", "solve_vertex")]
+        assert dmwc.Digraph.__init__ is not before["Digraph.__init__"]
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in dmwc.__all__ if not hasattr(dmwc, name)] == []

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from dmwc.cli import main
-from dmwc.fileformat import from_instance, serialize
+from dmwc.fileformat import MAX_VERTICES, from_instance, serialize
 from dmwc.fixtures import hub_fan, two_cycle
 
 
@@ -135,6 +135,18 @@ def test_gen_seeded_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["gen", "--seed", "5", "--n", "6"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_gen_caps_vertex_count(capsys, monkeypatch):
+    # an n the parser would reject fails before any coin is drawn
+    def forbidden(*args):
+        raise AssertionError("generator called")
+
+    monkeypatch.setattr("dmwc.cli.generate_instance", forbidden)
+    assert main(["gen", "--n", str(MAX_VERTICES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(MAX_VERTICES) in captured.err
 
 
 def test_verify_round_trip(two_cycle_file, tmp_path, capsys):

@@ -4,17 +4,10 @@ import pytest
 
 from conftest import random_digraph, subsets_upto, with_loops_and_repeats
 from dmwc.fixtures import hub_fan
-from dmwc.graph import (
-    Digraph,
-    Instance,
-    min_vertex_separator,
-    neighborhood_weight,
-    out_neighborhood,
-    reachable_from,
-    reaches_into,
-    reverse,
-)
+from dmwc import graph
+from dmwc.graph import Digraph, Instance, min_vertex_separator, reachable_from, reverse
 from dmwc.rng import SplitMix64
+from dmwc.shadows import neighborhood_weight, out_neighborhood, reaches_into
 
 
 def test_construction_validates():
@@ -122,6 +115,15 @@ def test_min_separator_validates():
         min_vertex_separator(g, set(), {1})
     with pytest.raises(ValueError):
         min_vertex_separator(g, {0}, {0})
+
+
+def test_min_separator_flow_is_bounded(monkeypatch):
+    # with the up-front no-finite-cut check blinded, the x -> u -> y path
+    # through undeletable u carries unbounded flow; the loop must fail, not spin
+    monkeypatch.setattr(graph, "reachable_from", lambda *args: frozenset())
+    g = Digraph(3, [(0, 1), (1, 2)], {1})
+    with pytest.raises(RuntimeError, match="max-flow exceeded"):
+        min_vertex_separator(g, {0}, {2})
 
 
 def _is_sep(g, x, y, s):

@@ -22,15 +22,15 @@ def test_brute_force_mwc_cap():
 def test_brute_force_important_examples():
     path = Digraph(4, [(0, 1), (1, 2), (2, 3)], {0, 3})
     got = brute_force_important(path, {0}, {3}, 2)
-    assert [s.members for s in got] == [frozenset({2})]
+    assert got == [frozenset({2})]
     fx = hub_fan(3, 2)
     got = brute_force_important(
         fx.instance.graph, {fx.c(1, 2)}, fx.instance.terminals, 2
     )
-    assert [s.members for s in got] == [frozenset({fx.a(1), fx.a(2)})]
+    assert got == [frozenset({fx.a(1), fx.a(2)})]
     apart = Digraph(3, [(0, 1)])
     got = brute_force_important(apart, {1}, {2}, 2)
-    assert [s.members for s in got] == [frozenset()]
+    assert got == [frozenset()]
     with pytest.raises(ValueError):
         brute_force_important(Digraph(25), {0}, {1}, 1)
 

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from itertools import combinations
 
@@ -8,7 +9,6 @@ from dmwc.fixtures import hub_fan, two_cycle
 from dmwc.graph import Digraph, Instance, reachable_from, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
 from dmwc.pipeline import (
-    allow_terminal_deletion,
     solve_edge,
     solve_multicut_k2,
     solve_vertex,
@@ -69,12 +69,18 @@ def test_agrees_with_brute_force():
 
 
 def test_solve_path_needs_no_shadow_or_importance_check(monkeypatch):
-    from dmwc import separators, shadows
+    # the reference predicates may move or go; no solver may depend on them
+    from dmwc import shadows
 
     def forbidden(*args):
         raise AssertionError("called on the solve path")
 
-    banned = (shadows.shadow, separators.is_important, separators.is_minimal_separator)
+    banned = [
+        obj for attr, obj in vars(shadows).items()
+        if not attr.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == shadows.__name__
+    ]
+    assert {f.__name__ for f in banned} >= {"shadow", "is_important", "is_minimal_separator"}
     for name, module in list(sys.modules.items()):
         if name == "dmwc" or name.startswith("dmwc."):
             for attr, obj in list(vars(module).items()):
@@ -85,6 +91,12 @@ def test_solve_path_needs_no_shadow_or_importance_check(monkeypatch):
         inst = generate_instance(seed, 20, 2.5 / 20, 2, 2)
         got = solve_vertex(inst)
         assert (got is None) == (brute_force_mwc(inst) is None), seed
+    assert solve_vertex(two_cycle(2), mode="randomized", seed=1) is not None
+    edge = generate_instance(3, 6, 0.3, 2, 1)
+    assert (solve_edge(edge) is None) == (_brute_edge(edge.graph, edge.terminals, 1) is None)
+    mc = random_digraph(4003, 6, 0.25)
+    got = solve_multicut_k2(mc, [(0, 1), (2, 3)], 2)
+    assert (got is None) == (_brute_multicut(mc, [(0, 1), (2, 3)], 2) is None)
 
 
 def test_failed_verification_raises(monkeypatch):
@@ -138,30 +150,6 @@ def test_deterministic_output_is_stable():
         assert (a is None) == (b is None)
         if a is not None:
             assert a.vertices == b.vertices
-
-
-def test_allow_terminal_deletion_structure():
-    inst = two_cycle(2)
-    tf = allow_terminal_deletion(inst)
-    g, g2 = inst.graph, tf.instance.graph
-    assert g2.vertex_count == g.vertex_count + 2
-    assert len(g2.edges) == len(g.edges) + 4
-    assert tf.instance.terminals == frozenset(tf.new_terminal_of.values())
-    # the old terminals became deletable
-    assert not inst.terminals & g2.infinite
-    for t, t2 in tf.new_terminal_of.items():
-        assert (t, t2) in g2.edges and (t2, t) in g2.edges
-
-
-def test_allow_terminal_deletion_solves_by_cutting_a_terminal():
-    # t1 -> t2 direct edge is only breakable by deleting a terminal
-    g = Digraph(2, [(0, 1)], {0, 1})
-    inst = Instance(g, frozenset({0, 1}), 1)
-    assert brute_force_mwc(inst) is None
-    tf = allow_terminal_deletion(inst)
-    sol = solve_vertex(tf.instance)
-    assert sol is not None
-    assert sol.vertices <= inst.terminals  # deletes an original terminal
 
 
 def _brute_edge(g, terminals, p):

@@ -6,7 +6,7 @@ from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance
 from dmwc.oracle import generate_instance
 from dmwc.pipeline import _second_stage
-from dmwc.sampling import deterministic_sets, random_draw, random_set, shadow_universe
+from dmwc.sampling import deterministic_sets, random_draw, random_set
 from dmwc.separators import build_collection, canonical_order
 from dmwc.shadows import is_thin, shadow
 
@@ -37,7 +37,7 @@ def test_random_draw_replays_from_provenance():
 
 def test_shadow_universe_hub_fan():
     fx = hub_fan(3, 2)
-    universe = shadow_universe(fx.instance)
+    universe = deterministic_sets(fx.instance).universe
     # singletons {a_i} shade {b_i}; pairs {a_i,a_j} shade exactly {c_ij}
     expected = {
         frozenset({fx.b(i)}) for i in (1, 2, 3)
@@ -89,7 +89,7 @@ def _reference_family(inst):
     order, that the union closure replaces: (candidates, provenance,
     universe)."""
     g = inst.graph
-    members = build_collection(inst).member_sets()
+    members = list(build_collection(inst))
     shadows = [shadow(g, inst.terminals, m).exact_reverse for m in members]
     universe = sorted(set(shadows), key=canonical_order)
     index_of = {z: i for i, z in enumerate(universe)}
@@ -140,13 +140,13 @@ def test_one_collection_build_per_family(monkeypatch):
 def _coverage_pairs(inst):
     """Brute-force (thin S, Y) pairs the family must cover."""
     g = inst.graph
-    coll = build_collection(inst).entries
+    coll = build_collection(inst)
     pool = sorted(g.deletable() - inst.terminals)
     for s in subsets_upto(pool, inst.budget):
         if not is_thin(g, inst.terminals, s):
             continue
         y = frozenset(
-            w for e in coll if e.members <= s for w in e.witnesses
+            w for members, ws in coll.items() if members <= s for w in ws
         )
         yield s, y
 
@@ -179,6 +179,6 @@ def test_exact_shadows_in_universe_match_direct_computation():
         inst = Instance(g, frozenset({0, 1}), 2)
         direct = {
             shadow(g, inst.terminals, members).exact_reverse
-            for members in build_collection(inst).member_sets()
+            for members in build_collection(inst)
         }
-        assert set(shadow_universe(inst)) == direct
+        assert set(deterministic_sets(inst).universe) == direct

@@ -9,12 +9,8 @@ from dmwc.graph import Digraph, Instance, min_vertex_separator, reachable_from
 from dmwc.oracle import brute_force_important, generate_instance
 from dmwc.rng import SplitMix64
 from dmwc.undirected import solve_undirected, underlying_undirected
-from dmwc.separators import (
-    build_collection,
-    enumerate_important,
-    is_important,
-    is_minimal_separator,
-)
+from dmwc.separators import build_collection, enumerate_important
+from dmwc.shadows import is_important, is_minimal_separator, is_separator
 
 PATH = Digraph(4, [(0, 1), (1, 2), (2, 3)], {0, 3})  # x=0, a=1, b=2, y=3
 
@@ -45,17 +41,17 @@ def test_enumerate_examples():
     fx = hub_fan(3, 2)
     g, terms = fx.instance.graph, fx.instance.terminals
     got = enumerate_important(g, {fx.c(1, 2)}, terms, 2)
-    assert [s.members for s in got] == [frozenset({fx.a(1), fx.a(2)})]
+    assert got == [frozenset({fx.a(1), fx.a(2)})]
     got = enumerate_important(g, {fx.b(1)}, terms, 2)
-    assert [s.members for s in got] == [frozenset({fx.a(1)})]
+    assert got == [frozenset({fx.a(1)})]
     path = Digraph(3, [(0, 1), (1, 2)], {0, 2})
     got = enumerate_important(path, {0}, {2}, 1)
-    assert [s.members for s in got] == [frozenset({1})]
+    assert got == [frozenset({1})]
 
 
 def test_enumerate_edge_cases():
     g = Digraph(3, [(0, 1)])
-    assert [s.members for s in enumerate_important(g, {1}, {2}, 3)] == [frozenset()]
+    assert enumerate_important(g, {1}, {2}, 3) == [frozenset()]
     tight = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], {0, 3})
     assert enumerate_important(tight, {0}, {3}, 1) == []  # minimum cut is 2
     direct = Digraph(2, [(0, 1)], {0, 1})
@@ -74,8 +70,8 @@ def test_enumerate_matches_brute_force():
                 if x == y:
                     continue
                 for p in (1, 3):
-                    fast = {s.members for s in enumerate_important(g, {x}, {y}, p)}
-                    slow = {s.members for s in brute_force_important(g, {x}, {y}, p)}
+                    fast = set(enumerate_important(g, {x}, {y}, p))
+                    slow = set(brute_force_important(g, {x}, {y}, p))
                     assert fast == slow, (seed, x, y, p)
 
 
@@ -130,7 +126,7 @@ def test_removed_set_matches_graph_minus_it():
         fast = enumerate_important(g, {x}, {y}, p, removed)
         assert fast == enumerate_important(h, {x}, {y}, p)
         slow = brute_force_important(h, {x}, {y}, p)
-        assert {s.members for s in fast} == {s.members for s in slow}
+        assert set(fast) == set(slow)
 
 
 def test_removed_set_validates():
@@ -193,9 +189,9 @@ def test_deleted_pivot_property():
                 if x == y:
                     continue
                 for sep in enumerate_important(g, {x}, {y}, 2):
-                    for v in sep.members:
+                    for v in sep:
                         h = minus(g, {v})
-                        assert is_important(h, {x}, {y}, sep.members - {v})
+                        assert is_important(h, {x}, {y}, sep - {v})
 
 
 def test_reach_containment():
@@ -210,12 +206,10 @@ def test_reach_containment():
                     continue
                 base = reachable_from(g, {x}, found[1])
                 for sep in enumerate_important(g, {x}, {y}, 2):
-                    assert base <= reachable_from(g, {x}, sep.members)
+                    assert base <= reachable_from(g, {x}, sep)
 
 
 def test_superset_source_stability():
-    from dmwc.separators import is_separator
-
     for seed in range(25):
         g = random_digraph(seed, 6, 0.3)
         for x in range(6):
@@ -223,15 +217,15 @@ def test_superset_source_stability():
                 if x == y:
                     continue
                 for sep in enumerate_important(g, {x}, {y}, 2):
-                    grown = reachable_from(g, {x}, sep.members) - sep.members
-                    if y in grown or not is_separator(g, grown, {y}, sep.members):
+                    grown = reachable_from(g, {x}, sep) - sep
+                    if y in grown or not is_separator(g, grown, {y}, sep):
                         continue
-                    assert is_important(g, grown, {y}, sep.members)
+                    assert is_important(g, grown, {y}, sep)
 
 
 def test_build_collection_hub_fan():
     fx = hub_fan(3, 2)
-    sets = build_collection(fx.instance).member_sets()
+    sets = list(build_collection(fx.instance))
     a1, a2, a3 = fx.a(1), fx.a(2), fx.a(3)
     assert sets == [
         frozenset({a1}),
@@ -245,8 +239,7 @@ def test_build_collection_hub_fan():
 
 def test_build_collection_witnesses_retained():
     fx = hub_fan(3, 2)
-    coll = build_collection(fx.instance)
-    by_members = {e.members: e.witnesses for e in coll.entries}
+    by_members = build_collection(fx.instance)
     # b1 is the only vertex whose sole escape route is a1
     assert by_members[frozenset({fx.a(1)})] == (fx.b(1),)
     # {a1,a2} is witnessed by the shared hub c12

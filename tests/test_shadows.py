@@ -6,8 +6,8 @@ from dmwc.graph import Digraph, Instance, reachable_from, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
 from dmwc.pipeline import _second_stage
 from dmwc.sampling import deterministic_sets
-from dmwc.separators import build_collection, is_important
-from dmwc.shadows import is_shadowless, is_thin, shadow
+from dmwc.separators import build_collection
+from dmwc.shadows import is_important, is_shadowless, is_thin, shadow
 from dmwc.undirected import underlying_undirected
 
 
@@ -92,7 +92,7 @@ def test_exact_shadow_membership_bound():
         g = Digraph(8, random_digraph(seed, 8, 0.3).edges, {0, 1})
         inst = Instance(g, frozenset({0, 1}), 2)
         counts = dict.fromkeys(range(8), 0)
-        for members in build_collection(inst).member_sets():
+        for members in build_collection(inst):
             for z in shadow(g, inst.terminals, members).exact_reverse:
                 counts[z] += 1
         assert all(c <= 4**2 for c in counts.values())
@@ -117,11 +117,11 @@ def test_importance_transfer_to_exact_shadow_vertices():
     # important for every vertex it is a minimal separator for
     for i, inst in enumerate(_transfer_instances()):
         g, terms = inst.graph, inst.terminals
-        for entry in build_collection(inst).entries:
-            rep = shadow(g, terms, entry.members)
-            assert rep.exact_reverse == frozenset(entry.witnesses), i
+        for members, witnesses in build_collection(inst).items():
+            rep = shadow(g, terms, members)
+            assert rep.exact_reverse == frozenset(witnesses), i
             for v in rep.exact_reverse:
-                assert is_important(g, {v}, terms, entry.members), i
+                assert is_important(g, {v}, terms, members), i
 
 
 def test_minimal_solutions_are_thin():
