@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 = solved / feasible / verified, 1 = no solution (or a solution
-file that fails `verify`), 2 = input error, 4 = solver bug: an answer failed
-its own re-verification (nothing is printed to stdout).  The machine-readable
-result goes to stdout ("SOLUTION k v1 ... vk" or "NO"); human-readable notes
-go to stderr.
+file that fails `verify`), 2 = input error, 4 = solver bug in any subcommand:
+an answer failed its own re-verification or an internal check of the solver
+(max-flow, cut extraction, recursion depth) failed; nothing is printed to
+stdout.  The machine-readable result goes to stdout ("SOLUTION k v1 ... vk"
+or "NO"); human-readable notes go to stderr.
 """
 
 from __future__ import annotations
@@ -218,6 +219,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a solver check failed: a bug, never "no solution"
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     if pf.kind == "vertex":
         ok = verify_solution(pf.to_instance(), ids)
     elif pf.kind == "edge":
@@ -236,11 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         if args.command == "solve":
-            try:
-                return _cmd_solve(args)
-            except RuntimeError as exc:  # an answer failed re-verification
-                print(f"error: {exc}", file=sys.stderr)
-                return 4
+            return _cmd_solve(args)
         if args.command == "enumerate-seps":
             return _cmd_enumerate(args)
         if args.command == "shadow":
@@ -254,6 +254,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a solver check failed: a bug, never "no solution"
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

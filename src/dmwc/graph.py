@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import inf
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Digraph:
@@ -144,18 +143,29 @@ def min_vertex_separator(
     """Minimum x-y separator in g minus `removed` with inclusion-maximal reach from x.
 
     Realized by max-flow on the in/out node-splitting network, kept implicit:
-    node 2v is v_in, node 2v+1 is v_out, and their arcs come from g's
-    adjacency.  The split arc v_in -> v_out has capacity one for a deletable
-    vertex outside x, y and `removed`; every other forward arc is unbounded,
-    and reverse arcs have capacity zero.  Removed vertices have no arcs at
-    all, so they never carry flow or join the separator.  Once no x-y path
-    runs through undeletable vertices alone the maximum flow is finite, so
-    adding one unit per augmenting path ends after lambda paths; a flow
-    above the number of unit arcs would mean that check and the capacities
-    disagree, and raises RuntimeError instead of looping.  The unique
-    max-reach minimum separator is read off the residual graph: it consists
-    of the saturated split arcs on the boundary of the set of nodes that
-    cannot reach the sink side.  Self-loops lie on no path and are skipped.
+    node 2v is v_in, node 2v+1 is v_out, and the search reads g's own
+    adjacency.  The split arc v_in -> v_out has capacity one when v is
+    cuttable (deletable and outside x, y and `removed`) and is unbounded
+    otherwise; the edge arc u_out -> w_in of each edge is unbounded; reverse
+    arcs have capacity zero.  The flow is two counts: through[v], the units
+    on v's split arc (0 or 1 when v is cuttable), and arc[u, w], the units on
+    the edge arc u_out -> w_in (never negative).  The residual arcs are:
+
+    - v_in -> v_out while v is not cuttable or through[v] == 0;
+    - v_out -> v_in while through[v] > 0;
+    - u_out -> w_in for every successor w of u that is not u and not removed;
+    - w_in -> u_out while arc[u, w] > 0.
+
+    Removed vertices are never entered, so they never carry flow or join the
+    separator, and self-loops lie on no path.  Each augmenting path is found
+    by a search backward along residual arcs from the sinks y_in to a source
+    x_out.  Once no x-y path runs through undeletable vertices alone the
+    maximum flow is finite, so adding one unit per path ends after lambda
+    paths; a flow above the number of cuttable vertices would mean that check
+    and the capacities disagree, and raises RuntimeError instead of looping.
+    The last search, which finds no source, sees exactly the nodes with a
+    residual path into the sink side.  The unique max-reach minimum separator
+    is the set of cuttable v whose v_out it saw and whose v_in it did not.
 
     Returns (lambda, separator), or None when no finite separator exists
     (an x-to-y path through only undeletable vertices).
@@ -171,67 +181,61 @@ def min_vertex_separator(
     if reachable_from(g, xs, cuttable | gone) & ys:
         return None
 
-    succ, pred = g.successors, g.predecessors
-
-    def neighbours(a: int) -> Iterator[int]:
-        # a ^ 1 is the other half of v; v_out leads to the in-nodes of v's
-        # successors, v_in is entered from the out-nodes of v's predecessors
-        v, side = a >> 1, a & 1
-        yield a ^ 1
-        for w in succ(v) if side else pred(v):
-            if w != v and w not in gone:
-                yield 2 * w + 1 - side
-
-    flow: dict[tuple[int, int], int] = {}  # net flow, flow[b, a] == -flow[a, b]
-
-    def residual(a: int, b: int) -> float:
-        if b == a ^ 1:  # split arc, forward from v_in only
-            cap = 0 if a & 1 else 1 if a >> 1 in cuttable else inf
-        else:  # edge arc, forward from u_out only
-            cap = inf if a & 1 else 0
-        return cap - flow.get((a, b), 0)
-
-    sources = {2 * v + 1 for v in xs}
-    sinks = {2 * v for v in ys}
+    succ, pred = g._succ, g._pred
+    through = [0] * g.vertex_count
+    arc: dict[tuple[int, int], int] = {}
     value = 0
     while True:
-        parent: dict[int, int] = {s: s for s in sources}
-        queue = deque(sources)
+        # nxt[a] is the node after a on a residual path into the sink side:
+        # -1 at a sink, -2 while a is unseen
+        nxt = [-2] * (2 * g.vertex_count)
+        queue = [2 * v for v in ys]
+        for b in queue:
+            nxt[b] = -1
         hit = -1
-        while queue:
-            a = queue.popleft()
-            if a in sinks:
-                hit = a
-                break
-            for b in neighbours(a):
-                if b not in parent and residual(a, b) > 0:
-                    parent[b] = a
-                    queue.append(b)
+        for b in queue:
+            v = b >> 1
+            if b & 1:
+                if nxt[b - 1] == -2 and (not through[v] or v not in cuttable):
+                    nxt[b - 1] = b
+                    queue.append(b - 1)
+                if through[v]:  # v_out is no source, so its arcs carry through[v]
+                    for w in succ[v]:
+                        if nxt[2 * w] == -2 and arc.get((v, w)):
+                            nxt[2 * w] = b
+                            queue.append(2 * w)
+            else:
+                if through[v] and nxt[b + 1] == -2:
+                    nxt[b + 1] = b
+                    queue.append(b + 1)
+                for u in pred[v]:
+                    a = 2 * u + 1
+                    if nxt[a] == -2 and u != v and u not in gone:
+                        nxt[a] = b
+                        if u in xs:
+                            hit = a
+                            break
+                        queue.append(a)
+                if hit >= 0:
+                    break
         if hit < 0:
             break
-        b = hit
-        while parent[b] != b:
-            a = parent[b]
-            flow[a, b] = flow.get((a, b), 0) + 1
-            flow[b, a] = flow.get((b, a), 0) - 1
-            b = a
+        a = hit
+        while (b := nxt[a]) >= 0:
+            if a ^ 1 == b:
+                through[a >> 1] += 1 if b & 1 else -1
+            elif a & 1:
+                arc[a >> 1, b >> 1] = arc.get((a >> 1, b >> 1), 0) + 1
+            else:
+                arc[b >> 1, a >> 1] -= 1
+            a = b
         value += 1
         if value > len(cuttable):  # a finite flow saturates distinct unit arcs
             raise RuntimeError("max-flow exceeded the number of deletable vertices")
 
-    # Nodes with a residual path into the sink side; their complement is the
-    # inclusion-maximal source side.
-    can_reach: set[int] = set(sinks)
-    queue = deque(sinks)
-    while queue:
-        b = queue.popleft()
-        for a in neighbours(b):
-            if a not in can_reach and residual(a, b) > 0:
-                can_reach.add(a)
-                queue.append(a)
-
     separator = frozenset(
-        v for v in cuttable if 2 * v not in can_reach and 2 * v + 1 in can_reach
+        v for v in cuttable if nxt[2 * v] == -2 and nxt[2 * v + 1] != -2
     )
-    assert len(separator) == value, "cut extraction disagrees with flow value"
+    if len(separator) != value:
+        raise RuntimeError("cut extraction disagrees with flow value")
     return value, separator

@@ -49,6 +49,28 @@ def test_failed_verification_is_not_reported_as_no(two_cycle_file, capsys, monke
     assert captured.err.startswith("error:") and "failed verification" in captured.err
 
 
+def test_solver_bug_exits_4_in_every_subcommand(tmp_path, capsys, monkeypatch):
+    # with the no-finite-cut check blinded, the flow through undeletable 1
+    # exceeds its bound: a solver bug, which must not read as "no solution"
+    path = tmp_path / "path.dmwc"
+    path.write_text("dmwc vertex\nn 3\np 1\nt 0\nt 2\ninf 1\ne 0 1\ne 1 2\n")
+    monkeypatch.setattr("dmwc.graph.reachable_from", lambda *args: frozenset())
+    args = ["enumerate-seps", str(path), "--source", "0", "--target", "2", "--budget", "1"]
+    assert main(args) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "max-flow exceeded" in captured.err
+
+    def broken(*args):
+        raise RuntimeError("cut extraction disagrees with flow value")
+
+    monkeypatch.setattr("dmwc.cli.shadow", broken)
+    assert main(["shadow", str(path), "--set", ""]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "cut extraction" in captured.err
+
+
 def test_solve_stdin(two_cycle_file, capsys, monkeypatch):
     import io
 

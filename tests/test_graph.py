@@ -1,4 +1,6 @@
+import ast
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -126,10 +128,60 @@ def test_min_separator_flow_is_bounded(monkeypatch):
         min_vertex_separator(g, {0}, {2})
 
 
+def test_min_separator_cancels_flow():
+    # the shortest path x -> a -> d -> y is found first; the unit from c must
+    # then cancel a -> d and send a's unit on through a2 or f1.  A cancelled
+    # arc left loaded would let e's unit run d -> a -> (the other branch)
+    x, a, a2, b, c, c2, d, e1, e2, f1, f2, f3, y = range(13)
+    g = Digraph(13, [
+        (x, a), (a, d), (d, y), (a, a2), (a2, b), (b, y), (x, c), (c, c2), (c2, d),
+        (x, e1), (e1, e2), (e2, d), (a, f1), (f1, f2), (f2, f3), (f3, y),
+    ], {x, y})
+    assert min_vertex_separator(g, {x}, {y}) == (2, frozenset({a, d}))
+
+
+def test_no_assert_in_sources():
+    # `python -O` strips assert statements, so no check may rest on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(graph.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def _is_sep(g, x, y, s):
     if s & (x | y | g.infinite):
         return False
     return not reachable_from(g, x, s) & y
+
+
+def _check_min_separator(g, xs, ys, gone=frozenset()):
+    """Compare min_vertex_separator with an exhaustive search over the
+    separators of g minus `gone`; return lambda, or None when only
+    undeletable vertices could separate."""
+    pool = sorted(g.deletable() - xs - ys - gone)
+    for size in range(len(pool) + 1):
+        best = [
+            frozenset(c)
+            for c in combinations(pool, size)
+            if not reachable_from(g, xs, gone | frozenset(c)) & ys
+        ]
+        if best:
+            break
+    found = min_vertex_separator(g, xs, ys, gone)
+    if not best:
+        assert found is None
+        return None
+    lam, s_star = found
+    assert lam == len(best[0]) and s_star in best
+    # s_star has the unique inclusion-maximal reach
+    reach = reachable_from(g, xs, s_star | gone)
+    for s in best:
+        if s != s_star:
+            assert reachable_from(g, xs, s | gone) < reach
+    return lam
 
 
 def test_min_separator_matches_brute_force():
@@ -137,61 +189,86 @@ def test_min_separator_matches_brute_force():
         plain = random_digraph(seed, 6, 0.3, 0.15)
         for g in (plain, with_loops_and_repeats(plain)):
             for x, y in permutations(range(6), 2):
-                xs, ys = frozenset({x}), frozenset({y})
-                pool = sorted(set(range(6)) - xs - ys - g.infinite)
-                best = None
-                for size in range(len(pool) + 1):
-                    hits = [
-                        frozenset(c)
-                        for c in combinations(pool, size)
-                        if _is_sep(g, xs, ys, frozenset(c))
-                    ]
-                    if hits:
-                        best = hits
-                        break
-                found = min_vertex_separator(g, xs, ys)
-                if best is None:
-                    assert found is None
-                    continue
-                lam, s_star = found
-                assert lam == len(best[0])
-                assert s_star in best
-                # s_star has the unique inclusion-maximal reach
-                reach = reachable_from(g, xs, s_star)
-                others = [
-                    s for s in best if s != s_star
-                ]
-                for s in others:
-                    assert reachable_from(g, xs, s) < reach
+                _check_min_separator(g, frozenset({x}), frozenset({y}))
+
+
+def test_min_separator_matches_brute_force_on_sets_and_hubs():
+    # the inputs _impsep passes: a pushed source side and a terminal set of
+    # several vertices, and a removed set.  In the hub graph every x-y path
+    # leaves x through the undeletable hub, so the hub carries all lambda units
+    hub_units = 0
+    for seed in range(120):
+        n = 7 + seed % 2
+        rng = SplitMix64(seed + 500)
+        order = rng.sample(n, n)
+        kx, ky = 1 + rng.below(3), 1 + rng.below(2)
+        xs, ys = frozenset(order[:kx]), frozenset(order[kx:kx + ky])
+        hub, rest = order[kx + ky], order[kx + ky + 1:]
+        gone = frozenset(v for v in rest if rng.below(4) == 0)
+        drawn = random_digraph(seed, n, 0.3, 0.15)
+        # no x -> y edge, which no separator could cut
+        plain = Digraph(
+            n, [(u, v) for u, v in drawn.edges if u not in xs or v not in ys], drawn.infinite
+        )
+        kept = [(u, v) for u, v in plain.edges if u not in xs and u != hub]
+        hubbed = Digraph(
+            n,
+            kept + [(u, hub) for u in xs] + [(hub, v) for v in rest]
+            + [(v, min(ys)) for v in rest],
+            plain.infinite | {hub},
+        )
+        for g, via_hub in ((plain, False), (with_loops_and_repeats(plain), False),
+                           (hubbed, True), (with_loops_and_repeats(hubbed), True)):
+            lam = _check_min_separator(g, xs, ys, gone)
+            hub_units += via_hub and lam is not None and lam >= 2
+    assert hub_units >= 50  # 102 of the 240 hub cases
 
 
 def test_min_separator_value_matches_networkx():
+    # networkx's flow is the reference for lambda, and its residual network
+    # for the max-reach separator: the nodes that can still reach the sink
     nx = pytest.importorskip("networkx")
+    from networkx.algorithms.flow import edmonds_karp
+
     outcomes = set()
-    for seed in range(60):
-        n = 20 + seed * 40 // 59  # 20..60
-        g = random_digraph(seed, n, 2.5 / n, 0.2)
+    for seed in range(90):
+        # sparse graphs at n = 20..60, then dense ones, where augmenting
+        # paths have to cancel flow
+        n, degree = (20 + seed * 40 // 59, 2.5) if seed < 60 else (12 + seed % 5, 5.0)
+        g = random_digraph(seed, n, degree / n, 0.2)
         xs = frozenset(range(1 + seed % 2))
         ys = frozenset({n - 1, n - 2 - seed % 3})
-        cuttable = g.deletable() - xs - ys
+        rng = SplitMix64(seed + 900)
+        gone = frozenset(v for v in range(n) if v not in xs | ys and rng.below(8) == 0)
+        cuttable = g.deletable() - xs - ys - gone
         # networkx rejects paths of unbounded capacity, so n + 1 stands in
         # for infinity: it exceeds every finite separator
         big = n + 1
         net = nx.DiGraph()
-        for v in range(n):
+        for v in set(range(n)) - gone:
             net.add_edge(("in", v), ("out", v), capacity=1 if v in cuttable else big)
         for u, v in g.edges:
-            net.add_edge(("out", u), ("in", v), capacity=big)
+            if u not in gone and v not in gone:
+                net.add_edge(("out", u), ("in", v), capacity=big)
         for v in xs:
             net.add_edge("source", ("in", v), capacity=big)
         for v in ys:
             net.add_edge(("out", v), "sink", capacity=big)
-        value = nx.maximum_flow_value(net, "source", "sink")
-        found = min_vertex_separator(g, xs, ys)
+        res = edmonds_karp(net, "source", "sink")
+        value = res.graph["flow_value"]
+        found = min_vertex_separator(g, xs, ys, gone)
         if value >= big:
             assert found is None, seed
         else:
-            assert found is not None and found[0] == value, seed
+            residual = nx.DiGraph(
+                (a, b) for a, b, d in res.edges(data=True) if d["capacity"] > d["flow"]
+            )
+            residual.add_node("sink")
+            can_reach = nx.ancestors(residual, "sink")
+            expect = frozenset(
+                v for v in cuttable if ("in", v) not in can_reach and ("out", v) in can_reach
+            )
+            assert found == (value, expect), seed
         outcomes.add(found is None)
     assert outcomes == {True, False}
 
