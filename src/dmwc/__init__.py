@@ -35,7 +35,7 @@ from .shadows import (
     shadow,
 )
 from .torso import reduce_instance, torso
-from .undirected import solve_undirected, underlying_undirected
+from .undirected import solve_undirected
 
 __all__ = [
     "Digraph",
@@ -58,7 +58,6 @@ __all__ = [
     "deterministic_sets",
     "torso",
     "reduce_instance",
-    "underlying_undirected",
     "solve_undirected",
     "solve_vertex",
     "solve_edge",

@@ -4,10 +4,11 @@ two-pair multicut reductions.
 The deterministic solver branches over candidate removal sets: an outer
 family for the original graph, and for each outer choice an inner family for
 the reversed graph where the chosen vertices have been made undeletable.
-Each combined choice is removed via the torso reduction and handed to the
-undirected sub-solver; the first answer (in family order) wins.  Distinct
-combined choices are attempted once and memoized, since the reduced instance
-depends only on their union.
+Each combined choice z is removed by the torso reduction: one symmetric graph
+on the input's own vertex ids, with z left isolated.  The undirected
+sub-solver's cut of it needs no mapping back; the first answer (in family
+order) wins.  Distinct combined choices are attempted once and memoized,
+since the reduced instance depends only on their union.
 
 Every answer is re-checked on the input instance before it is returned.  A
 failed check can only be a solver bug, so it raises RuntimeError rather than
@@ -23,7 +24,7 @@ from .graph import Digraph, Instance, connected_terminal, reachable_from
 from .rng import SplitMix64
 from .sampling import deterministic_sets, random_set
 from .torso import reduce_instance
-from .undirected import solve_undirected, underlying_undirected
+from .undirected import solve_undirected
 
 
 @dataclass(frozen=True)
@@ -77,19 +78,12 @@ def verify_multicut(
 
 
 def _attempt(inst: Instance, z: frozenset[int]) -> Solution | None:
-    red = reduce_instance(inst, z)
-    und = Instance(
-        underlying_undirected(red.instance.graph),
-        red.instance.terminals,
-        inst.budget,
-    )
-    s = solve_undirected(und)
-    if s is None:
+    cut = solve_undirected(reduce_instance(inst, z))
+    if cut is None:
         return None
-    lifted = red.lift(s)
-    if not verify_solution(inst, lifted):
-        raise RuntimeError(f"lifted cut {sorted(lifted)} failed verification")
-    return Solution(vertices=lifted)
+    if not verify_solution(inst, cut):
+        raise RuntimeError(f"cut {sorted(cut)} failed verification")
+    return Solution(vertices=cut)
 
 
 def _second_stage(inst: Instance, z1: frozenset[int]) -> Instance:

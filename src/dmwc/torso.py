@@ -1,74 +1,49 @@
 """Torso of a digraph on a vertex subset, and the instance reduction that
-removes a candidate set by taking the torso on its complement."""
+removes a candidate set by taking the symmetric torso on its complement.
+Both work on the input graph's own vertex ids, so a cut of the reduced
+instance is already a vertex set of the input and needs no mapping back."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Digraph, Instance
+from .graph import Digraph, Instance, _check_ids
 
 
-def torso(g: Digraph, c: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
-    """Graph on `c` with an edge (a, b) whenever g has an a->b path whose
-    internal vertices avoid c.  Vertices are relabeled densely; the second
-    return value maps new ids back to original ids.  Edge multiplicity is
-    collapsed to one and self-loops are dropped (separation never needs
-    either).
+def torso(g: Digraph, c: Iterable[int]) -> set[tuple[int, int]]:
+    """Arcs (a, b) of the torso of g on `c`, in g's ids: a != b, both in c,
+    and g has an a->b path whose internal vertices avoid c.  Edge
+    multiplicity collapses to one arc and self-loops are dropped (separation
+    never needs either).
     """
-    kept = sorted(set(c))
-    for v in kept:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {v} out of range")
-    keptset = set(kept)
-    index = {old: new for new, old in enumerate(kept)}
-    edges: set[tuple[int, int]] = set()
+    kept = _check_ids(g, c)
+    arcs: set[tuple[int, int]] = set()
     for a in kept:
-        # one pass from a: direct kept neighbors plus kept vertices reachable
-        # through the removed region only
-        seen_outside: set[int] = set()
-        queue: deque[int] = deque()
-        for w in g.successors(a):
-            if w in keptset:
-                if w != a:
-                    edges.add((index[a], index[w]))
-            elif w not in seen_outside:
-                seen_outside.add(w)
-                queue.append(w)
-        while queue:
-            u = queue.popleft()
-            for w in g.successors(u):
-                if w in keptset:
-                    if w != a:
-                        edges.add((index[a], index[w]))
-                elif w not in seen_outside:
-                    seen_outside.add(w)
-                    queue.append(w)
-    infinite = {index[v] for v in kept if v in g.infinite}
-    return Digraph(len(kept), sorted(edges), infinite), tuple(kept)
+        # one search from a that only passes through vertices outside c
+        seen = {a}
+        stack = [a]
+        while stack:
+            for w in g.successors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    if w in kept:
+                        arcs.add((a, w))
+                    else:
+                        stack.append(w)
+    return arcs
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """A reduced instance together with the new-id -> original-id map."""
-
-    instance: Instance
-    to_original: tuple[int, ...]
-
-    def lift(self, s: Iterable[int]) -> frozenset[int]:
-        """Translate a solution of the reduced instance to original ids."""
-        return frozenset(self.to_original[v] for v in s)
-
-
-def reduce_instance(inst: Instance, z: Iterable[int]) -> Reduction:
-    """Remove `z` by taking the torso on its complement; terminals and budget
-    carry over."""
-    zs = frozenset(z)
+def reduce_instance(inst: Instance, z: Iterable[int]) -> Instance:
+    """Remove `z` by taking the torso on its complement, with every torso arc
+    in both orientations.  The graph keeps g's vertex count and infinite set,
+    and the vertices of z stay in it without arcs; terminals and budget carry
+    over."""
+    g = inst.graph
+    zs = _check_ids(g, z)
     if zs & inst.terminals:
         raise ValueError("removed set must not meet the terminals")
-    kept = set(inst.graph.vertices()) - zs
-    tg, mapping = torso(inst.graph, kept)
-    index = {old: new for new, old in enumerate(mapping)}
-    terminals = frozenset(index[t] for t in inst.terminals)
-    return Reduction(Instance(tg, terminals, inst.budget), mapping)
+    arcs = torso(g, frozenset(g.vertices()) - zs)
+    arcs |= {(b, a) for a, b in arcs}
+    return Instance(
+        Digraph(g.vertex_count, sorted(arcs), g.infinite), inst.terminals, inst.budget
+    )

@@ -3,18 +3,8 @@ important terminal separators over the symmetric digraph."""
 
 from __future__ import annotations
 
-from .graph import Digraph, Instance, connected_terminal
+from .graph import Instance, connected_terminal
 from .separators import enumerate_important
-
-
-def underlying_undirected(g: Digraph) -> Digraph:
-    """Symmetric closure: every edge is replaced by the pair of orientations.
-    Idempotent; multiplicities collapse to one per direction."""
-    arcs: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        arcs.add((u, v))
-        arcs.add((v, u))
-    return Digraph(g.vertex_count, sorted(arcs), g.infinite)
 
 
 def solve_undirected(inst: Instance) -> frozenset[int] | None:

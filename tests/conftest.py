@@ -31,6 +31,13 @@ def minus(g, removed):
     )
 
 
+def symmetric(g):
+    """g with every edge in both orientations; multiplicities collapse to one
+    per direction."""
+    arcs = set(g.edges) | {(v, u) for u, v in g.edges}
+    return Digraph(g.vertex_count, sorted(arcs), g.infinite)
+
+
 def with_loops_and_repeats(g):
     """g plus a self-loop on every even vertex and a repeat of every other edge."""
     extra = [(v, v) for v in range(0, g.vertex_count, 2)] + list(g.edges[::2])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import dmwc
 import dmwc.fileformat  # noqa: F401  the bench imports the file reader itself
+from dmwc.fixtures import hub_fan
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -54,3 +55,22 @@ def test_install_and_uninstall_restore_the_functions():
 
 def test_every_exported_name_resolves():
     assert [name for name in dmwc.__all__ if not hasattr(dmwc, name)] == []
+
+
+def test_spans_cover_every_layer_the_bench_reads():
+    # bench/run.py reads these span names; pipeline.attempts counts
+    # torso.reduce_instance, one per undirected solve
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert dmwc.solve_vertex(hub_fan(3, 2).instance) is not None
+        dmwc.solve_edge(dmwc.generate_instance(3, 6, 0.3, 2, 1))
+    finally:
+        tracer.uninstall()
+    calls = {name: c for name, (c, _, _) in tracer.summary(0, len(tracer)).items()}
+    read = ["graph.min_vertex_separator", "graph.digraph_init",
+            "separators.build_collection", "separators.enumerate_important",
+            "sampling.deterministic_sets", "pipeline.verify_solution",
+            "torso.reduce_instance", "undirected.solve_undirected"]
+    assert [name for name in read if not calls.get(name)] == []
+    assert calls["torso.reduce_instance"] == calls["undirected.solve_undirected"]

@@ -70,6 +70,14 @@ def test_solver_bug_exits_4_in_every_subcommand(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "cut extraction" in captured.err
 
+    monkeypatch.setattr("dmwc.cli.verify_solution", broken)
+    sol = tmp_path / "cut.txt"
+    sol.write_text("SOLUTION 1 1\n")
+    assert main(["verify", str(path), "--solution", str(sol)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "cut extraction" in captured.err
+
 
 def test_solve_stdin(two_cycle_file, capsys, monkeypatch):
     import io

@@ -2,13 +2,13 @@ from itertools import permutations
 
 import pytest
 
-from conftest import minus, random_digraph, with_loops_and_repeats
+from conftest import minus, random_digraph, symmetric, with_loops_and_repeats
 from dmwc import separators
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance, min_vertex_separator, reachable_from
 from dmwc.oracle import brute_force_important, generate_instance
 from dmwc.rng import SplitMix64
-from dmwc.undirected import solve_undirected, underlying_undirected
+from dmwc.undirected import solve_undirected
 from dmwc.separators import build_collection, enumerate_important
 from dmwc.shadows import is_important, is_minimal_separator, is_separator
 
@@ -142,7 +142,7 @@ def test_removed_sets_build_no_graphs(monkeypatch):
     # enumeration and the undirected solver work on g minus a removed set and
     # never construct a Digraph of their own
     insts = [generate_instance(seed, 12, 0.15, 3, 3, 0.1) for seed in range(6)]
-    cases = [Instance(underlying_undirected(i.graph), i.terminals, i.budget) for i in insts]
+    cases = [Instance(symmetric(i.graph), i.terminals, i.budget) for i in insts]
     built = []
     real_init = Digraph.__init__
 

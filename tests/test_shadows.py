@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_digraph, subsets_upto
+from conftest import random_digraph, subsets_upto, symmetric
 from dmwc.fixtures import hub_fan, two_cycle
 from dmwc.graph import Digraph, Instance, reachable_from, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
@@ -8,7 +8,6 @@ from dmwc.pipeline import _second_stage
 from dmwc.sampling import deterministic_sets
 from dmwc.separators import build_collection
 from dmwc.shadows import is_important, is_shadowless, is_thin, shadow
-from dmwc.undirected import underlying_undirected
 
 
 def test_shadow_hub_fan():
@@ -147,7 +146,7 @@ def test_shadowless_solution_survives_undirected():
     for seed in range(40):
         g = Digraph(7, random_digraph(seed, 7, 0.25).edges, {0, 1})
         inst = Instance(g, frozenset({0, 1}), 3)
-        und = underlying_undirected(g)
+        und = symmetric(g)
         sol = brute_force_mwc(inst)
         if sol is None or not is_shadowless(g, inst.terminals, sol):
             continue

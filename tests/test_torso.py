@@ -1,63 +1,63 @@
 import pytest
 
-from conftest import random_digraph, subsets_upto
+from conftest import random_digraph, subsets_upto, symmetric, with_loops_and_repeats
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance, reachable_from
 from dmwc.oracle import brute_force_mwc
 from dmwc.pipeline import verify_solution
 from dmwc.rng import SplitMix64
-from dmwc.shadows import is_shadowless, shadow
+from dmwc.shadows import shadow
 from dmwc.torso import reduce_instance, torso
+from dmwc.undirected import solve_undirected
+
+
+def _torso_graph(g, kept):
+    return Digraph(g.vertex_count, torso(g, kept), g.infinite)
 
 
 def test_torso_identity_on_full_vertex_set():
     for seed in range(10):
         g = random_digraph(seed, 6, 0.35, 0.2)
-        tg, mapping = torso(g, range(6))
-        assert mapping == tuple(range(6))
+        tg = _torso_graph(g, range(6))
+        assert tg.vertex_count == g.vertex_count
         assert set(tg.edges) == set(g.edges)
         assert tg.infinite == g.infinite
 
 
 def test_torso_contracts_paths():
     chain = Digraph(3, [(0, 1), (1, 2)])
-    tg, mapping = torso(chain, {0, 2})
-    assert mapping == (0, 2)
-    assert tg.edges == ((0, 1),)  # new ids: 0=old 0, 1=old 2
+    assert torso(chain, {0, 2}) == {(0, 2)}
 
 
 def test_torso_hub_fan_without_a1():
     fx = hub_fan(3, 2)
     g = fx.instance.graph
-    kept = sorted(set(g.vertices()) - {fx.a(1)})
-    tg, mapping = torso(g, kept)
-    index = {old: new for new, old in enumerate(mapping)}
-    old_edges = {
-        (index[u], index[v]) for u, v in g.edges if fx.a(1) not in (u, v)
-    }
+    kept = set(g.vertices()) - {fx.a(1)}
+    old_edges = {(u, v) for u, v in g.edges if fx.a(1) not in (u, v)}
     bridged = {
-        (index[u], index[t])
+        (u, t)
         for u in (fx.b(1), fx.c(1, 2), fx.c(1, 3))
         for t in (fx.t(1), fx.t(2))
     }
-    assert set(tg.edges) == old_edges | bridged
+    assert torso(g, kept) == old_edges | bridged
 
 
 def test_torso_contains_induced_subgraph():
     for seed in range(15):
         g = random_digraph(seed, 7, 0.3)
         rng = SplitMix64(seed)
-        kept = sorted(v for v in range(7) if rng.coin())
-        tg, mapping = torso(g, kept)
-        index = {old: new for new, old in enumerate(mapping)}
+        kept = {v for v in range(7) if rng.coin()}
+        arcs = torso(g, kept)
+        assert all(a in kept and b in kept and a != b for a, b in arcs)
         for u, v in g.edges:
-            if u in index and v in index and u != v:
-                assert (index[u], index[v]) in tg.edges
+            if u in kept and v in kept and u != v:
+                assert (u, v) in arcs
 
 
 def test_torso_validates_range():
-    with pytest.raises(ValueError):
-        torso(Digraph(3), {5})
+    for bad in ({5}, {3}, {-1}, {0, 7}):
+        with pytest.raises(ValueError, match="out of range"):
+            torso(Digraph(3), bad)
 
 
 def test_torso_preserves_separation():
@@ -66,29 +66,19 @@ def test_torso_preserves_separation():
         for kept in subsets_upto(range(5), 5):
             if len(kept) < 2:
                 continue
-            tg, mapping = torso(g, kept)
-            index = {old: new for new, old in enumerate(mapping)}
+            tg = _torso_graph(g, kept)
             for s in subsets_upto(kept, 2):
-                s_new = frozenset(index[v] for v in s)
                 for a in kept - s:
                     reach_g = reachable_from(g, {a}, s) & kept
-                    reach_t = {
-                        mapping[w]
-                        for w in reachable_from(tg, {index[a]}, s_new)
-                    }
-                    assert reach_g == frozenset(reach_t), (seed, kept, s, a)
+                    assert reachable_from(tg, {a}, s) == reach_g, (seed, kept, s, a)
 
 
 def test_reduce_instance_noop():
     fx = hub_fan(3, 2)
     red = reduce_instance(fx.instance, ())
-    assert red.instance.graph == Digraph(
-        fx.instance.graph.vertex_count,
-        sorted(set(fx.instance.graph.edges)),
-        fx.instance.graph.infinite,
-    )
-    assert red.instance.terminals == fx.instance.terminals
-    assert red.lift({3, 5}) == frozenset({3, 5})
+    assert red.graph == symmetric(fx.instance.graph)
+    assert red.terminals == fx.instance.terminals
+    assert red.budget == fx.instance.budget
 
 
 def test_reduce_instance_rejects_terminals():
@@ -97,35 +87,89 @@ def test_reduce_instance_rejects_terminals():
         reduce_instance(fx.instance, {fx.t(1)})
 
 
+def test_reduce_instance_rejects_out_of_range_ids():
+    inst = hub_fan(3, 2).instance
+    for bad in ({99}, {-1}, {99, -1}, {inst.graph.vertex_count}):
+        with pytest.raises(ValueError, match="out of range"):
+            reduce_instance(inst, bad)
+
+
 def test_reduce_instance_drops_hub_layer():
     fx = hub_fan(3, 2)
     z = {fx.b(i) for i in (1, 2, 3)} | {
         fx.c(i, j) for i, j in ((1, 2), (1, 3), (2, 3))
     }
-    red = reduce_instance(fx.instance, z)
-    g = red.instance.graph
-    assert g.vertex_count == 5  # t1, t2, a1, a2, a3
-    index = {old: new for new, old in enumerate(red.to_original)}
-    expect = {
-        (index[fx.a(i)], index[fx.t(j)]) for i in (1, 2, 3) for j in (1, 2)
-    }
-    assert set(g.edges) == expect
+    g = reduce_instance(fx.instance, z).graph
+    assert g.vertex_count == fx.instance.graph.vertex_count  # z stays, isolated
+    expect = {(fx.a(i), fx.t(j)) for i in (1, 2, 3) for j in (1, 2)}
+    assert set(g.edges) == expect | {(b, a) for a, b in expect}
 
 
-def test_reduced_solutions_lift():
+def _instance_with_z(seed, n):
+    """A graph with self-loops and repeated edges, terminals {0, 1}, and a
+    removed set z that draws from the undeletable non-terminals too."""
+    base = random_digraph(seed, n, 0.18, 0.2)
+    g = with_loops_and_repeats(Digraph(n, base.edges, base.infinite | {0, 1}))
+    inst = Instance(g, frozenset({0, 1}), 2 + seed % 3)
+    rng = SplitMix64(seed + 555)
+    z = frozenset(v for v in range(2, n) if rng.unit() < 0.4)
+    return inst, z
+
+
+def test_reduce_instance_matches_definition():
+    undeletable_in_z = 0
+    for seed in range(60):
+        inst, z = _instance_with_z(seed, 5 + seed % 4)
+        g = inst.graph
+        undeletable_in_z += bool(z & g.infinite)
+        red = reduce_instance(inst, z)
+        kept = frozenset(g.vertices()) - z
+
+        def bridged(a, b):
+            # an a->b path whose interior lies in z
+            return b in reachable_from(g, {a}, kept - {a, b})
+
+        expect = {
+            (a, b)
+            for a in kept
+            for b in kept
+            if a != b and (bridged(a, b) or bridged(b, a))
+        }
+        assert set(red.graph.edges) == expect, seed
+        assert len(red.graph.edges) == len(expect)  # one arc per direction
+        assert all(not red.graph.successors(v) and not red.graph.predecessors(v) for v in z)
+        assert red.graph.vertex_count == g.vertex_count
+        assert red.graph.infinite == g.infinite
+        assert red.terminals == inst.terminals and red.budget == inst.budget
+    assert undeletable_in_z >= 10
+
+
+def test_reduced_instance_solves_like_brute_force():
+    nonempty_cuts = 0
+    for seed in range(60):
+        inst, z = _instance_with_z(seed, 6 + seed % 7)  # n = 6..12
+        red = reduce_instance(inst, z)
+        got = solve_undirected(red)
+        assert got == brute_force_mwc(red), seed
+        assert got is None or not got & z, seed
+        nonempty_cuts += bool(got)
+    assert nonempty_cuts >= 10
+
+
+def test_reduced_solutions_verify_on_input():
     for seed in range(40):
         g = Digraph(7, random_digraph(seed, 7, 0.3).edges, {0, 1})
         inst = Instance(g, frozenset({0, 1}), 2)
         rng = SplitMix64(seed + 99)
         z = frozenset(v for v in range(2, 7) if rng.coin())
-        red = reduce_instance(inst, z)
-        sol = brute_force_mwc(red.instance)
+        sol = brute_force_mwc(reduce_instance(inst, z))
         if sol is not None:
-            assert verify_solution(inst, red.lift(sol)), (seed, z, sol)
+            assert verify_solution(inst, sol), (seed, z, sol)
 
 
 def test_shadow_elimination():
-    # a solution whose shadow sits inside the removed set becomes shadowless
+    # a solution whose shadow sits inside the removed set leaves no shadow
+    # among the kept vertices of the torso
     for seed in range(60):
         g = Digraph(7, random_digraph(seed, 7, 0.3).edges, {0, 1})
         inst = Instance(g, frozenset({0, 1}), 2)
@@ -136,9 +180,6 @@ def test_shadow_elimination():
         z = rep.forward | rep.reverse
         if z & sol:
             continue
-        red = reduce_instance(inst, z)
-        index = {old: new for new, old in enumerate(red.to_original)}
-        moved = frozenset(index[v] for v in sol)
-        assert is_shadowless(
-            red.instance.graph, red.instance.terminals, moved
-        ), (seed, sol, z)
+        tg = _torso_graph(g, frozenset(g.vertices()) - z)
+        in_torso = shadow(tg, inst.terminals, sol)
+        assert (in_torso.forward | in_torso.reverse) <= z, (seed, sol, z)

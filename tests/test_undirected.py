@@ -1,23 +1,11 @@
-from conftest import random_digraph
+from conftest import random_digraph, symmetric
 from dmwc.graph import Digraph, Instance, reachable_from
 from dmwc.oracle import brute_force_mwc
-from dmwc.undirected import solve_undirected, underlying_undirected
-
-
-def test_underlying_undirected_basics():
-    g = Digraph(2, [(0, 1)])
-    und = underlying_undirected(g)
-    assert set(und.edges) == {(0, 1), (1, 0)}
-    assert underlying_undirected(und) == und  # idempotent
-    for seed in range(10):
-        h = random_digraph(seed, 6, 0.35, 0.2)
-        sym = underlying_undirected(h)
-        assert sym.infinite == h.infinite
-        assert all((v, u) in sym.edges for u, v in sym.edges)
+from dmwc.undirected import solve_undirected
 
 
 def _symmetric_instance(seed, n, density, k, p):
-    g = underlying_undirected(random_digraph(seed, n, density))
+    g = symmetric(random_digraph(seed, n, density))
     terms = frozenset(range(k))
     return Instance(Digraph(n, g.edges, terms), terms, p)
 
@@ -33,7 +21,7 @@ def _feasible(inst, s):
 
 def test_star_center_is_the_cut():
     center = 3
-    g = underlying_undirected(
+    g = symmetric(
         Digraph(4, [(center, 0), (center, 1), (center, 2)], {0, 1, 2})
     )
     inst = Instance(g, frozenset({0, 1, 2}), 1)
@@ -41,7 +29,7 @@ def test_star_center_is_the_cut():
 
 
 def test_budget_zero_cases():
-    path = underlying_undirected(Digraph(3, [(0, 2), (2, 1)], {0, 1}))
+    path = symmetric(Digraph(3, [(0, 2), (2, 1)], {0, 1}))
     inst = Instance(path, frozenset({0, 1}), 0)
     assert solve_undirected(inst) is None
     apart = Digraph(2, [], {0, 1})
@@ -58,7 +46,7 @@ def test_matches_exhaustive_search():
 
 def test_respects_distinguished_vertices():
     for seed in range(40):
-        g = underlying_undirected(random_digraph(seed, 7, 0.3))
+        g = symmetric(random_digraph(seed, 7, 0.3))
         g = Digraph(7, g.edges, {0, 1, 2})  # one protected non-terminal: 2
         inst = Instance(g, frozenset({0, 1}), 3)
         got = solve_undirected(inst)
