@@ -23,7 +23,7 @@ from .pipeline import (
     solve_vertex,
     verify_solution,
 )
-from .sampling import CandidateFamily, deterministic_sets, random_set
+from .sampling import deterministic_sets, random_set
 from .separators import build_collection, enumerate_important
 from .shadows import (
     ShadowReport,
@@ -42,7 +42,6 @@ __all__ = [
     "Instance",
     "Solution",
     "ShadowReport",
-    "CandidateFamily",
     "reachable_from",
     "reverse",
     "min_vertex_separator",

@@ -15,7 +15,9 @@ import os
 import sys
 from typing import Sequence
 
-from .fileformat import MAX_VERTICES, FormatError, ProblemFile, parse, serialize
+from .fileformat import (
+    MAX_VERTICES, FormatError, ProblemFile, from_instance, parse, serialize,
+)
 from .fixtures import named_fixture
 from .graph import Instance
 from .oracle import generate_instance
@@ -195,10 +197,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         inst = generate_instance(
             seed, args.n, args.density, args.k, args.p, args.infinite_fraction
         )
-    pf = ProblemFile(
-        "vertex", inst.graph, inst.budget, tuple(sorted(inst.terminals))
-    )
-    sys.stdout.write(serialize(pf))
+    sys.stdout.write(serialize(from_instance(inst)))
     return 0
 
 

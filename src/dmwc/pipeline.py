@@ -114,15 +114,16 @@ def solve_vertex(
     if mode != "deterministic":
         raise ValueError(f"unknown mode {mode!r}")
 
-    tried: dict[frozenset[int], Solution | None] = {}
+    tried: set[frozenset[int]] = set()
     for z1 in deterministic_sets(inst):
         # the inner family depends on z1 through the enlarged undeletable set
         for z2 in deterministic_sets(_second_stage(inst, z1)):
             z = z1 | z2
             if z not in tried:
-                tried[z] = _attempt(inst, z)
-            if tried[z] is not None:
-                return tried[z]
+                tried.add(z)
+                sol = _attempt(inst, z)
+                if sol is not None:
+                    return sol
     return None
 
 

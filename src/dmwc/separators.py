@@ -75,10 +75,10 @@ def _impsep(
     return out
 
 
-def build_collection(inst: Instance) -> dict[frozenset[int], tuple[int, ...]]:
+def build_collection(inst: Instance) -> dict[frozenset[int], frozenset[int]]:
     """Important v-T separators of size <= budget over all witnesses v not in
-    T: each separator, in canonical order, with the witnesses it is
-    important for, in increasing order.
+    T: each separator, in canonical order, with the set of witnesses it is
+    important for, which is its exact reverse shadow (`sampling` says why).
 
     Distinguished non-terminal vertices are valid witnesses too: a v-T
     separator never contains v itself, so nothing stops an undeletable v
@@ -86,8 +86,8 @@ def build_collection(inst: Instance) -> dict[frozenset[int], tuple[int, ...]]:
     """
     g = inst.graph
     terms = inst.terminals
-    acc: dict[frozenset[int], list[int]] = {}
+    acc: dict[frozenset[int], set[int]] = {}
     for v in sorted(set(g.vertices()) - terms):
         for sep in enumerate_important(g, {v}, terms, inst.budget):
-            acc.setdefault(sep, []).append(v)
-    return {s: tuple(acc[s]) for s in sorted(acc, key=canonical_order)}
+            acc.setdefault(sep, set()).add(v)
+    return {s: frozenset(acc[s]) for s in sorted(acc, key=canonical_order)}

@@ -1,7 +1,7 @@
-"""Reference predicates, written straight from their definitions: reverse
-reachability, out-neighbourhoods, separators, minimality, importance,
-shadows and thinness.  Nothing on the solve path calls them; they back the
-CLI's `shadow` command and the tests that check the solver's shortcuts.
+"""Reference predicates, written straight from their definitions:
+out-neighbourhoods, separators, minimality, importance, shadows and
+thinness.  Nothing on the solve path calls them; they back the CLI's
+`shadow` command and the tests that check the solver's shortcuts.
 
 The reverse shadow of S holds the vertices that S cuts off from reaching T;
 the forward shadow holds the vertices T can no longer reach.  A vertex is in
@@ -11,30 +11,10 @@ i.e. every member of S is doing work.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Digraph, _check_ids, min_vertex_separator, reachable_from, reverse
-
-
-def reaches_into(
-    g: Digraph, targets: Iterable[int], removed: Iterable[int] = ()
-) -> frozenset[int]:
-    """Vertices with a path into `targets` in g minus `removed` (targets included)."""
-    tgt = _check_ids(g, targets)
-    gone = _check_ids(g, removed)
-    if tgt & gone:
-        raise ValueError("targets and removed must be disjoint")
-    seen = set(tgt)
-    queue = deque(tgt)
-    while queue:
-        u = queue.popleft()
-        for w in g.predecessors(u):
-            if w not in seen and w not in gone:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
 
 
 def out_neighborhood(g: Digraph, a: Iterable[int]) -> frozenset[int]:
@@ -107,12 +87,12 @@ def shadow(g: Digraph, t: Iterable[int], s: Iterable[int]) -> ShadowReport:
         raise ValueError("shadow set must be disjoint from the terminals")
     if ss & g.infinite:
         raise ValueError("shadow set must be disjoint from distinguished vertices")
-    can_reach_t = reaches_into(g, ts, ss)
+    grev = reverse(g)
+    can_reach_t = reachable_from(grev, ts, ss)
     reached_by_t = reachable_from(g, ts, ss)
     everything = frozenset(g.vertices())
     rev = everything - can_reach_t - ss
     fwd = everything - reached_by_t - ss
-    grev = reverse(g)
     exact_rev = frozenset(v for v in rev if is_minimal_separator(g, {v}, ts, ss))
     exact_fwd = frozenset(v for v in fwd if is_minimal_separator(grev, {v}, ts, ss))
     return ShadowReport(fwd, rev, exact_fwd, exact_rev)

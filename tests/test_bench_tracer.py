@@ -74,3 +74,5 @@ def test_spans_cover_every_layer_the_bench_reads():
             "torso.reduce_instance", "undirected.solve_undirected"]
     assert [name for name in read if not calls.get(name)] == []
     assert calls["torso.reduce_instance"] == calls["undirected.solve_undirected"]
+    # sampling.builds_per_family = 1.0: one collection build per family
+    assert calls["separators.build_collection"] == calls["sampling.deterministic_sets"]

@@ -9,7 +9,7 @@ from dmwc.fixtures import hub_fan
 from dmwc import graph
 from dmwc.graph import Digraph, Instance, min_vertex_separator, reachable_from, reverse
 from dmwc.rng import SplitMix64
-from dmwc.shadows import neighborhood_weight, out_neighborhood, reaches_into
+from dmwc.shadows import neighborhood_weight, out_neighborhood
 
 
 def test_construction_validates():
@@ -60,13 +60,6 @@ def test_reachable_monotone_in_removed():
             v for v in range(8) if v not in src and rng.coin()
         )
         assert reachable_from(g, src, big) <= reachable_from(g, src, small)
-
-
-def test_reaches_into_mirrors_reachable():
-    for seed in range(30):
-        g = random_digraph(seed, 7, 0.3)
-        for v in range(7):
-            assert reaches_into(g, {v}) == reachable_from(reverse(g), {v})
 
 
 def test_out_neighborhood():

@@ -123,6 +123,33 @@ def test_failed_reduction_check_raises(monkeypatch):
         solve_multicut_k2(Digraph(4, [(0, 1), (2, 3)]), [(0, 1), (2, 3)], 1)
 
 
+def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
+    from dmwc import pipeline
+    from dmwc.sampling import deterministic_sets
+
+    attempted = []
+    attempt = pipeline._attempt
+
+    def recording(inst, z):
+        attempted.append(z)
+        return attempt(inst, z)
+
+    monkeypatch.setattr(pipeline, "_attempt", recording)
+    answers = set()
+    for inst in small_instances(30, seed0=300):
+        attempted.clear()
+        got = solve_vertex(inst)
+        answers.add(got is None)
+        order = list(dict.fromkeys(
+            z1 | z2
+            for z1 in deterministic_sets(inst)
+            for z2 in deterministic_sets(pipeline._second_stage(inst, z1))
+        ))
+        # a NO tries every distinct choice; a YES stops at the one that solved
+        assert attempted == (order if got is None else order[:len(attempted)])
+    assert answers == {True, False}
+
+
 def test_randomized_mode_is_sound_and_seed_stable():
     inst = two_cycle(2)
     for seed in range(10):

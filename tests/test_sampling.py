@@ -6,7 +6,8 @@ from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance
 from dmwc.oracle import generate_instance
 from dmwc.pipeline import _second_stage
-from dmwc.sampling import deterministic_sets, random_draw, random_set
+from dmwc.rng import SplitMix64
+from dmwc.sampling import deterministic_sets, random_set
 from dmwc.separators import build_collection, canonical_order
 from dmwc.shadows import is_thin, shadow
 
@@ -21,30 +22,36 @@ def test_random_set_trivial_cases():
         assert not z & fx.instance.terminals
 
 
-def test_random_draw_replays_from_provenance():
+def test_random_set_replays_one_coin_per_shadow():
+    # the universe is computed from the definition, not from random_set
     fx = hub_fan(3, 2)
+    g, terms = fx.instance.graph, fx.instance.terminals
+    universe = sorted(
+        {shadow(g, terms, m).exact_reverse for m in build_collection(fx.instance)},
+        key=canonical_order,
+    )
+    assert len(universe) == 6
     for seed in range(10):
-        draw = random_draw(fx.instance, seed)
+        rng = SplitMix64(seed)
         redo = frozenset()
-        for picked, members in zip(draw.coins, draw.universe):
-            if picked:
+        for members in universe:
+            if rng.coin():
                 redo |= members
-        assert draw.z == redo
-        assert random_set(fx.instance, seed) == draw.z
+        assert random_set(fx.instance, seed) == redo
     # seeds are the only source of variation
-    assert random_draw(fx.instance, 4).z == random_draw(fx.instance, 4).z
+    assert random_set(fx.instance, 4) == random_set(fx.instance, 4)
 
 
 def test_shadow_universe_hub_fan():
     fx = hub_fan(3, 2)
-    universe = deterministic_sets(fx.instance).universe
+    universe = set(build_collection(fx.instance).values())
     # singletons {a_i} shade {b_i}; pairs {a_i,a_j} shade exactly {c_ij}
     expected = {
         frozenset({fx.b(i)}) for i in (1, 2, 3)
     } | {
         frozenset({fx.c(i, j)}) for i, j in ((1, 2), (1, 3), (2, 3))
     }
-    assert set(universe) == expected
+    assert universe == expected
 
 
 def test_deterministic_family_trivial_cases():
@@ -67,45 +74,39 @@ def test_deterministic_family_hits_required_selection():
 
 def test_candidates_are_shadow_unions():
     fx = hub_fan(3, 2)
-    family = deterministic_sets(fx.instance)
-    for z, picked in zip(family.candidates, family.provenance):
-        redo = frozenset()
-        for i in picked:
-            redo |= family.universe[i]
-        assert z == redo
+    shadows = set(build_collection(fx.instance).values())
+    for z in deterministic_sets(fx.instance):
+        assert z == frozenset().union(*[y for y in shadows if y <= z])
 
 
 def test_deterministic_family_is_stable():
     fx = hub_fan(3, 2)
     a = deterministic_sets(fx.instance)
     b = deterministic_sets(fx.instance)
-    assert a.candidates == b.candidates
-    assert a.provenance == b.provenance
-    assert all(list(picked) == sorted(set(picked)) for picked in a.provenance)
+    assert a == b
+    assert len(set(a)) == len(a)
 
 
 def _reference_family(inst):
     """The walk over every deletable W of at most p vertices, in canonical
-    order, that the union closure replaces: (candidates, provenance,
-    universe)."""
+    order, that the union closure replaces: each distinct union of the exact
+    reverse shadows (from their definition) of the members inside W, kept at
+    its first W."""
     g = inst.graph
     members = list(build_collection(inst))
     shadows = [shadow(g, inst.terminals, m).exact_reverse for m in members]
-    universe = sorted(set(shadows), key=canonical_order)
-    index_of = {z: i for i, z in enumerate(universe)}
-    member_shadows = [(m, index_of[z]) for m, z in zip(members, shadows)]
     deletable = sorted(g.deletable() - inst.terminals)
-    candidates, provenance, seen = [], [], set()
+    candidates, seen = [], set()
     for size in range(min(inst.budget, len(deletable)) + 1):
         for w in combinations(deletable, size):
             wset = frozenset(w)
-            picked = tuple(sorted({i for m, i in member_shadows if m <= wset}))
-            z = frozenset().union(*(universe[i] for i in picked))
+            z = frozenset().union(
+                *(y for m, y in zip(members, shadows) if m <= wset)
+            )
             if z not in seen:
                 seen.add(z)
                 candidates.append(z)
-                provenance.append(picked)
-    return tuple(candidates), tuple(provenance), tuple(universe)
+    return tuple(candidates)
 
 
 def test_union_closure_matches_reference_walk():
@@ -115,12 +116,9 @@ def test_union_closure_matches_reference_walk():
             7000 + i, n, 2.5 / n + 0.05 * (i % 3), 2 + i % 2, i % 4, 0.1 * (i % 2)
         )
         family = deterministic_sets(inst)
-        got = (family.candidates, family.provenance, family.universe)
-        assert got == _reference_family(inst), i
-        inner = _second_stage(inst, family.candidates[-1])
-        family = deterministic_sets(inner)
-        got = (family.candidates, family.provenance, family.universe)
-        assert got == _reference_family(inner), (i, "second stage")
+        assert family == _reference_family(inst), i
+        inner = _second_stage(inst, family[-1])
+        assert deterministic_sets(inner) == _reference_family(inner), (i, "second stage")
 
 
 def test_one_collection_build_per_family(monkeypatch):
@@ -135,6 +133,8 @@ def test_one_collection_build_per_family(monkeypatch):
     family = deterministic_sets(fx.instance)
     assert len(calls) == 1
     assert len(family) > 1
+    random_set(fx.instance, 3)
+    assert len(calls) == 2
 
 
 def _coverage_pairs(inst):
@@ -181,4 +181,4 @@ def test_exact_shadows_in_universe_match_direct_computation():
             shadow(g, inst.terminals, members).exact_reverse
             for members in build_collection(inst)
         }
-        assert set(deterministic_sets(inst).universe) == direct
+        assert set(build_collection(inst).values()) == direct

@@ -53,6 +53,20 @@ def test_shadow_duality_under_reversal():
             assert a.exact_forward == b.exact_reverse
 
 
+def test_shadow_matches_reachability_definition():
+    # reverse: cannot reach T in g - s; forward: T cannot reach it in g - s
+    for seed in range(30):
+        g = Digraph(7, random_digraph(seed, 7, 0.3).edges, {0, 1})
+        terms = frozenset({0, 1})
+        for s in subsets_upto(set(range(2, 7)), 2):
+            rest = frozenset(g.vertices()) - s
+            rep = shadow(g, terms, s)
+            assert rep.reverse == {
+                v for v in rest if not reachable_from(g, {v}, s) & terms
+            }
+            assert rep.forward == rest - reachable_from(g, terms, s)
+
+
 def test_shadow_disjointness_invariants():
     for seed in range(30):
         g = random_digraph(seed, 7, 0.3)
