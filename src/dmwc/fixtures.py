@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Digraph, Instance
 
@@ -20,7 +20,24 @@ class HubFanFixture:
 
     r: int
     k: int
-    instance: Instance
+    budget: int = 2
+    instance: Instance = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        r, k = self.r, self.k
+        if r < 1 or k < 1:
+            raise ValueError("r and k must be positive")
+        edges: list[tuple[int, int]] = []
+        for i in range(1, r + 1):
+            edges += [(self.a(i), self.t(j)) for j in range(1, k + 1)]
+            edges.append((self.b(i), self.a(i)))
+        for i in range(1, r + 1):
+            for j in range(i + 1, r + 1):
+                edges += [(self.c(i, j), self.a(i)), (self.c(i, j), self.a(j))]
+        n = k + 2 * r + r * (r - 1) // 2
+        terminals = frozenset(range(k))
+        inst = Instance(Digraph(n, edges, terminals), terminals, self.budget)
+        object.__setattr__(self, "instance", inst)
 
     def t(self, j: int) -> int:
         return j - 1
@@ -34,32 +51,12 @@ class HubFanFixture:
     def c(self, i: int, j: int) -> int:
         if not 1 <= i < j <= self.r:
             raise ValueError("need 1 <= i < j <= r")
-        offset = 0
-        for ii in range(1, self.r + 1):
-            for jj in range(ii + 1, self.r + 1):
-                if (ii, jj) == (i, j):
-                    return self.k + 2 * self.r + offset
-                offset += 1
-        raise AssertionError
+        # (i - 1) * (2r - i) / 2 pairs start with an index below i
+        return self.k + 2 * self.r + (i - 1) * (2 * self.r - i) // 2 + j - i - 1
 
 
 def hub_fan(r: int = 3, k: int = 2, budget: int = 2) -> HubFanFixture:
-    if r < 1 or k < 1:
-        raise ValueError("r and k must be positive")
-    n = k + 2 * r + r * (r - 1) // 2
-    terminals = frozenset(range(k))
-    edges: list[tuple[int, int]] = []
-    fx = HubFanFixture(r, k, Instance(Digraph(n, (), terminals), terminals, budget))
-    for i in range(1, r + 1):
-        for j in range(1, k + 1):
-            edges.append((fx.a(i), fx.t(j)))
-        edges.append((fx.b(i), fx.a(i)))
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            edges.append((fx.c(i, j), fx.a(i)))
-            edges.append((fx.c(i, j), fx.a(j)))
-    inst = Instance(Digraph(n, edges, terminals), terminals, budget)
-    return HubFanFixture(r, k, inst)
+    return HubFanFixture(r, k, budget)
 
 
 def two_cycle(budget: int = 2) -> Instance:

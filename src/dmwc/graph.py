@@ -1,10 +1,11 @@
 """Directed multigraph core: reachability, the multiway-cut check and the
 unit-vertex-capacity minimum separator with inclusion-maximal reach.
 
-Vertices are dense integers 0..n-1.  A distinguished ("infinite weight")
-vertex can never be part of a separator; terminals are always distinguished.
-Graphs are immutable after construction and all operations are pure, so they
-are safe to share between workers.
+Vertices are dense integers 0..n-1, stored as given: a non-integer edge
+endpoint raises instead of being truncated.  A distinguished ("infinite
+weight") vertex can never be part of a separator; terminals are always
+distinguished.  Graphs are immutable after construction and all operations
+are pure, so they are safe to share between workers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from typing import Iterable
 
 
 class Digraph:
-    """Immutable directed multigraph with a set of undeletable vertices."""
+    """Immutable directed multigraph with a set of undeletable vertices.  `edges`
+    keeps input order; each adjacency tuple lists a neighbour once, in first-edge
+    order, which is not part of the contract: no result depends on it."""
 
     __slots__ = ("vertex_count", "edges", "infinite", "_succ", "_pred")
 
@@ -27,22 +30,21 @@ class Digraph:
     ) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        self.vertex_count = int(vertex_count)
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
-        for u, v in self.edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
-        self.infinite = frozenset(int(v) for v in infinite)
+        self.vertex_count = vertex_count
+        self.infinite = frozenset(infinite)
         for v in self.infinite:
             if not 0 <= v < vertex_count:
                 raise ValueError(f"infinite vertex {v} out of range")
-        succ: list[set[int]] = [set() for _ in range(vertex_count)]
-        pred: list[set[int]] = [set() for _ in range(vertex_count)]
+        self.edges = tuple(edges)
+        succ: list[dict[int, None]] = [{} for _ in range(vertex_count)]
+        pred: list[dict[int, None]] = [{} for _ in range(vertex_count)]
         for u, v in self.edges:
-            succ[u].add(v)
-            pred[v].add(u)
-        self._succ = tuple(tuple(sorted(s)) for s in succ)
-        self._pred = tuple(tuple(sorted(s)) for s in pred)
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValueError(f"edge ({u},{v}) out of range")
+            succ[u][v] = None
+            pred[v][u] = None
+        self._succ = tuple(map(tuple, succ))
+        self._pred = tuple(map(tuple, pred))
 
     def successors(self, v: int) -> tuple[int, ...]:
         return self._succ[v]
@@ -91,10 +93,8 @@ class Instance:
         object.__setattr__(self, "terminals", frozenset(self.terminals))
         if not self.terminals:
             raise ValueError("at least one terminal required")
-        if not self.terminals <= frozenset(self.graph.vertices()):
-            raise ValueError("terminal id out of range")
-        if not self.terminals <= self.graph.infinite:
-            raise ValueError("terminals must be distinguished (infinite) vertices")
+        if not self.terminals <= self.graph.infinite:  # infinite is range-checked
+            raise ValueError("terminals must be in-range distinguished (infinite) vertices")
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
 

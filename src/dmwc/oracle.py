@@ -18,14 +18,14 @@ from .shadows import is_minimal_separator
 DEFAULT_CAP = 20
 
 
-def brute_force_mwc(inst: Instance, cap: int = DEFAULT_CAP) -> frozenset[int] | None:
+def brute_force_mwc(inst: Instance) -> frozenset[int] | None:
     """Minimum feasible cut if its size is within budget, else None.
 
     Ties break lexicographically (combinations are emitted in sorted order).
     """
     g = inst.graph
-    if g.vertex_count > cap:
-        raise ValueError(f"brute force capped at {cap} vertices")
+    if g.vertex_count > DEFAULT_CAP:
+        raise ValueError(f"brute force capped at {DEFAULT_CAP} vertices")
     pool = sorted(g.deletable() - inst.terminals)
     for size in range(min(inst.budget, len(pool)) + 1):
         for combo in combinations(pool, size):
@@ -40,13 +40,12 @@ def brute_force_important(
     x: Iterable[int],
     y: Iterable[int],
     p: int,
-    cap: int = DEFAULT_CAP,
 ) -> list[frozenset[int]]:
     """All important x-y separators of size <= p, straight from the
     definition: minimal separators not dominated by any same-or-smaller
     separator with strictly larger reach."""
-    if g.vertex_count > cap:
-        raise ValueError(f"brute force capped at {cap} vertices")
+    if g.vertex_count > DEFAULT_CAP:
+        raise ValueError(f"brute force capped at {DEFAULT_CAP} vertices")
     xs, ys = frozenset(x), frozenset(y)
     pool = sorted(g.deletable() - xs - ys)
     seps: list[tuple[frozenset[int], frozenset[int]]] = []

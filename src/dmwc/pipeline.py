@@ -105,14 +105,18 @@ def solve_vertex(
     Deterministic mode branches over both candidate families and is complete.
     Randomized mode performs a single seeded pass (one draw per stage) and
     may report None on a yes-instance; it exists for experimentation.
+    Both modes first answer None when a terminal reaches another through
+    undeletable vertices alone, since no cut can meet that path.
     """
+    if mode not in ("deterministic", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if connected_terminal(inst.graph, inst.terminals, inst.graph.deletable()) is not None:
+        return None
     if mode == "randomized":
         stream = SplitMix64(seed)
         z1 = random_set(inst, stream.next_u64())
         z2 = random_set(_second_stage(inst, z1), stream.next_u64())
         return _attempt(inst, z1 | z2)
-    if mode != "deterministic":
-        raise ValueError(f"unknown mode {mode!r}")
 
     tried: set[frozenset[int]] = set()
     for z1 in deterministic_sets(inst):

@@ -37,8 +37,6 @@ def enumerate_important(
     minimum separator exceeds p (or only infinite vertices could separate).
     """
     xs, ys, gone = frozenset(x), frozenset(y), frozenset(removed)
-    if xs & ys:
-        raise ValueError("x and y must be disjoint")
     if p < 0:
         raise ValueError("budget must be non-negative")
     candidates = _impsep(g, xs, ys, p, gone, 2 * p + 1)

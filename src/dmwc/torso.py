@@ -45,5 +45,5 @@ def reduce_instance(inst: Instance, z: Iterable[int]) -> Instance:
     arcs = torso(g, frozenset(g.vertices()) - zs)
     arcs |= {(b, a) for a, b in arcs}
     return Instance(
-        Digraph(g.vertex_count, sorted(arcs), g.infinite), inst.terminals, inst.budget
+        Digraph(g.vertex_count, arcs, g.infinite), inst.terminals, inst.budget
     )

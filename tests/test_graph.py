@@ -19,6 +19,10 @@ def test_construction_validates():
         Digraph(2, [(0, 2)])
     with pytest.raises(ValueError):
         Digraph(2, [], [5])
+    # ids are stored as given, so 0.5 is not truncated to vertex 0
+    for edge in [(0.5, 1), (1, 1.0), ("0", 1)]:
+        with pytest.raises(TypeError):
+            Digraph(2, [edge])
 
 
 def test_instance_validates():
@@ -27,6 +31,9 @@ def test_instance_validates():
         Instance(g, frozenset(), 1)
     with pytest.raises(ValueError):
         Instance(g, frozenset({1}), 1)  # terminal not distinguished
+    for t in (3, -1):  # out of range: no such vertex can be distinguished
+        with pytest.raises(ValueError, match="in-range distinguished"):
+            Instance(g, frozenset({0, t}), 1)
     with pytest.raises(ValueError):
         Instance(g, frozenset({0}), -1)
     Instance(g, frozenset({0}), 0)

@@ -1,13 +1,15 @@
 """Metamorphic checks above brute-force size: feasibility must not depend on
 vertex names or on which way every edge points, and it must be monotone in
-the budget.  Every returned cut must pass the checker."""
+the budget.  Answers must not depend on the order of the edge list.  Every
+returned cut must pass the checker."""
 
 from functools import lru_cache
 
-from dmwc.graph import Digraph, Instance, reverse
+from dmwc.graph import Digraph, Instance, min_vertex_separator, reverse
 from dmwc.oracle import generate_instance
 from dmwc.pipeline import solve_vertex, verify_solution
 from dmwc.rng import SplitMix64
+from dmwc.torso import torso
 
 
 @lru_cache(maxsize=1)
@@ -36,6 +38,35 @@ def _relabel(inst, seed):
         g.vertex_count, [(pi[u], pi[v]) for u, v in g.edges], {pi[v] for v in g.infinite}
     )
     return Instance(h, frozenset(pi[t] for t in inst.terminals), inst.budget)
+
+
+def _shuffle(inst, seed):
+    g = inst.graph
+    order = SplitMix64(seed).sample(len(g.edges), len(g.edges))
+    h = Digraph(g.vertex_count, [g.edges[i] for i in order], g.infinite)
+    return Instance(h, inst.terminals, inst.budget)
+
+
+def _adjacency(g):
+    return [g.successors(v) for v in g.vertices()]
+
+
+def test_answers_survive_edge_permutation():
+    # adjacency tuples follow the edge order, so a shuffle reorders them
+    reordered = 0
+    for i, (inst, cut) in enumerate(_corpus()):
+        g, terms = inst.graph, inst.terminals
+        shuffled = _shuffle(inst, 700 + i)
+        h = shuffled.graph
+        reordered += _adjacency(h) != _adjacency(g)
+        assert _solve(shuffled) == cut, i
+        for t in sorted(terms):
+            assert min_vertex_separator(h, {t}, terms - {t}) == min_vertex_separator(
+                g, {t}, terms - {t}
+            ), i
+        kept = terms | {v for v in g.vertices() if v % 3}
+        assert torso(h, kept) == torso(g, kept), i
+    assert reordered == len(_corpus())
 
 
 def test_corpus_has_both_answers():

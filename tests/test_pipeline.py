@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_digraph, small_instances
 from dmwc.fixtures import hub_fan, two_cycle
-from dmwc.graph import Digraph, Instance, reachable_from, reverse
+from dmwc.graph import Digraph, Instance, connected_terminal, reachable_from, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
 from dmwc.pipeline import (
     solve_edge,
@@ -139,6 +139,12 @@ def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
     for inst in small_instances(30, seed0=300):
         attempted.clear()
         got = solve_vertex(inst)
+        g = inst.graph
+        if connected_terminal(g, inst.terminals, g.deletable()) is not None:
+            # terminals joined through undeletable vertices: NO up front
+            assert got is None and attempted == []
+            answers.add("joined")
+            continue
         answers.add(got is None)
         order = list(dict.fromkeys(
             z1 | z2
@@ -147,7 +153,22 @@ def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
         ))
         # a NO tries every distinct choice; a YES stops at the one that solved
         assert attempted == (order if got is None else order[:len(attempted)])
-    assert answers == {True, False}
+    assert answers == {"joined", True, False}
+
+
+def test_terminals_joined_through_undeletable_vertices_are_no_up_front(monkeypatch):
+    # generate_instance(11, 40, ...) has the edge 13 -> 38 between its terminals
+    from dmwc import pipeline
+
+    def unreachable(*args):
+        raise AssertionError("a candidate family was built")
+
+    monkeypatch.setattr(pipeline, "deterministic_sets", unreachable)
+    monkeypatch.setattr(pipeline, "random_set", unreachable)
+    for p in (3, 4):
+        inst = generate_instance(11, 40, 2.5 / 40, 2, p)
+        assert solve_vertex(inst) is None
+        assert solve_vertex(inst, mode="randomized", seed=p) is None
 
 
 def test_randomized_mode_is_sound_and_seed_stable():
