@@ -11,6 +11,7 @@ or "NO"); human-readable notes go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Sequence
@@ -19,7 +20,6 @@ from .fileformat import (
     MAX_VERTICES, ProblemFile, from_instance, parse, serialize,
 )
 from .fixtures import named_fixture
-from .graph import Instance
 from .oracle import generate_instance
 from .pipeline import (
     Solution,
@@ -57,17 +57,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="deterministic")
     solve.add_argument("--seed", type=int, default=None,
                        help="seed for randomized mode (default: DMWC_SEED or 0)")
+    solve.set_defaults(run=_cmd_solve)
 
     seps = sub.add_parser("enumerate-seps", help="list important separators")
     seps.add_argument("instance")
     seps.add_argument("--source", required=True, help="comma-separated vertex ids")
     seps.add_argument("--target", required=True, help="comma-separated vertex ids")
     seps.add_argument("--budget", type=int, required=True)
+    seps.set_defaults(run=_cmd_enumerate)
 
     shad = sub.add_parser("shadow", help="shadow report of a vertex set")
     shad.add_argument("instance")
     shad.add_argument("--set", dest="vertex_set", required=True,
                       help="comma-separated vertex ids")
+    shad.set_defaults(run=_cmd_shadow)
 
     gen = sub.add_parser("gen", help="emit a generated instance file")
     gen.add_argument("--fixture", default=None,
@@ -78,10 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--p", type=int, default=2)
     gen.add_argument("--infinite-fraction", type=float, default=0.0)
+    gen.set_defaults(run=_cmd_gen)
 
     ver = sub.add_parser("verify", help="check a solution file against an instance")
     ver.add_argument("instance")
     ver.add_argument("--solution", required=True, help="file with ids or a SOLUTION line")
+    ver.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -99,20 +104,15 @@ def _parse_ids(raw: str) -> frozenset[int]:
     return frozenset(int(tok) for tok in raw.replace(",", " ").split())
 
 
-def _print_solution(sol: Solution) -> None:
-    items = sorted(sol.vertices) if sol.vertices is not None else list(sol.edges or ())
-    print(f"SOLUTION {len(items)} " + " ".join(str(v) for v in items) if items
-          else "SOLUTION 0")
+def _print_ids(label: str, ids: Sequence[int]) -> None:
+    print(" ".join([label, str(len(ids)), *map(str, ids)]))
 
 
 def _solve_file(pf: ProblemFile, budget: int, mode: str, seed: int) -> Solution | None:
-    if pf.kind == "vertex":
-        inst = Instance(pf.graph, frozenset(pf.terminals), budget)
-        return solve_vertex(inst, mode=mode, seed=seed)
-    if pf.kind == "edge":
-        inst = Instance(pf.graph, frozenset(pf.terminals), budget)
-        return solve_edge(inst, mode=mode, seed=seed)
-    return solve_multicut_k2(pf.graph, list(pf.pairs), budget, mode=mode, seed=seed)
+    if pf.kind == "multicut2":
+        return solve_multicut_k2(pf.graph, list(pf.pairs), budget, mode=mode, seed=seed)
+    solve = solve_vertex if pf.kind == "vertex" else solve_edge
+    return solve(dataclasses.replace(pf, budget=budget).to_instance(), mode=mode, seed=seed)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -142,7 +142,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 best, hi = trial, mid
         print(f"minimum feasible budget: {hi}", file=sys.stderr)
         sol = best
-    _print_solution(sol)
+    _print_ids("SOLUTION", sorted(sol.vertices if sol.edges is None else sol.edges))
     return 0
 
 
@@ -151,28 +151,22 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     source = _parse_ids(args.source)
     target = _parse_ids(args.target)
     for sep in enumerate_important(pf.graph, source, target, args.budget):
-        members = sorted(sep)
-        print(f"SEP {len(members)} " + " ".join(map(str, members)) if members
-              else "SEP 0")
+        _print_ids("SEP", sorted(sep))
     return 0
 
 
 def _cmd_shadow(args: argparse.Namespace) -> int:
     pf = _read_problem(args.instance)
     s = _parse_ids(args.vertex_set)
-    terminals = frozenset(pf.terminals)
-    if pf.kind == "multicut2":
-        print("error: shadow needs a terminal-based instance", file=sys.stderr)
-        return 2
-    report = shadow(pf.graph, terminals, s)
+    inst = pf.to_instance()
+    report = shadow(inst.graph, inst.terminals, s)
     for label, vs in (
         ("FORWARD", report.forward),
         ("REVERSE", report.reverse),
         ("EXACT-FORWARD", report.exact_forward),
         ("EXACT-REVERSE", report.exact_reverse),
     ):
-        ordered = sorted(vs)
-        print(f"{label} {len(ordered)}" + ("" if not ordered else " " + " ".join(map(str, ordered))))
+        _print_ids(label, sorted(vs))
     return 0
 
 
@@ -221,15 +215,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "enumerate-seps":
-            return _cmd_enumerate(args)
-        if args.command == "shadow":
-            return _cmd_shadow(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

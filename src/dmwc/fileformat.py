@@ -23,11 +23,13 @@ from dataclasses import dataclass
 from .graph import Digraph, Instance
 
 KINDS = ("vertex", "edge", "multicut2")
-# Largest accepted `n`.  Building the graph allocates two adjacency sets per
-# vertex (about 430 bytes) whatever the edge count, so a bare `n` line must
-# not be able to demand unbounded memory.
+# Largest accepted `n`.  Building the graph allocates two adjacency dicts per
+# vertex (about 160 bytes at peak) whatever the edge count, so a bare `n` line
+# must not be able to demand unbounded memory.
 MAX_VERTICES = 100_000
 _TOKEN = re.compile(r"\S+")
+# argument count of each directive; a key outside it is an unknown directive
+_ARITY = {"dmwc": 1, "n": 1, "p": 1, "t": 1, "pair": 2, "inf": 1, "e": 2}
 _TWO_PAIRS = "multicut2 files need exactly two 'pair' lines"
 
 
@@ -90,27 +92,25 @@ def parse(text: str) -> ProblemFile:
         tokens = [m.group() for m in found]
         columns = [m.start() + 1 for m in found]
         key, args = tokens[0], tokens[1:]
+        if kind is None and key != "dmwc":
+            raise FormatError("file must start with a 'dmwc <kind>' header", line_no, columns[0])
+        if kind is not None and key == "dmwc":
+            raise FormatError("duplicate 'dmwc' header", line_no, columns[0])
+        count = _ARITY.get(key)
+        if count is None:
+            raise FormatError(f"unknown directive {key!r}", line_no, columns[0])
+        if len(args) != count:
+            raise FormatError(
+                f"directive {key!r} takes {count} argument(s), got {len(args)}",
+                line_no,
+                columns[0],
+            )
 
-        def need(count: int) -> None:
-            if len(args) != count:
-                raise FormatError(
-                    f"directive {key!r} takes {count} argument(s), got {len(args)}",
-                    line_no,
-                    columns[0],
-                )
-
-        if kind is None:
-            if key != "dmwc":
-                raise FormatError("file must start with a 'dmwc <kind>' header", line_no, columns[0])
-            need(1)
+        if key == "dmwc":
             if args[0] not in KINDS:
                 raise FormatError(f"unknown problem kind {args[0]!r}", line_no, columns[1])
             kind = args[0]
-            continue
-        if key == "dmwc":
-            raise FormatError("duplicate 'dmwc' header", line_no, columns[0])
-        if key == "n":
-            need(1)
+        elif key == "n":
             if n is not None:
                 raise FormatError("duplicate 'n' line", line_no, columns[0])
             n = _int_token(args[0], line_no, columns[1])
@@ -121,19 +121,16 @@ def parse(text: str) -> ProblemFile:
                     f"vertex count {n} exceeds the limit {MAX_VERTICES}", line_no, columns[1]
                 )
         elif key == "p":
-            need(1)
             if budget is not None:
                 raise FormatError("duplicate 'p' line", line_no, columns[0])
             budget = _int_token(args[0], line_no, columns[1])
             if budget < 0:
                 raise FormatError("budget must be non-negative", line_no, columns[1])
         elif key == "t":
-            need(1)
             if kind == "multicut2":
                 raise FormatError("'t' lines are not valid in multicut2 files", line_no, columns[0])
             terminals.append(vertex_id(args[0], line_no, columns[1]))
         elif key == "pair":
-            need(2)
             if kind != "multicut2":
                 raise FormatError("'pair' lines require the multicut2 kind", line_no, columns[0])
             if len(pairs) == 2:
@@ -145,18 +142,14 @@ def parse(text: str) -> ProblemFile:
                 )
             )
         elif key == "inf":
-            need(1)
             extra_inf.append(vertex_id(args[0], line_no, columns[1]))
-        elif key == "e":
-            need(2)
+        else:  # "e"
             edges.append(
                 (
                     vertex_id(args[0], line_no, columns[1]),
                     vertex_id(args[1], line_no, columns[2]),
                 )
             )
-        else:
-            raise FormatError(f"unknown directive {key!r}", line_no, columns[0])
 
     if kind is None:
         raise FormatError("missing 'dmwc <kind>' header", 1)

@@ -1,15 +1,17 @@
 """Directed multigraph core: reachability, the multiway-cut check and the
 unit-vertex-capacity minimum separator with inclusion-maximal reach.
 
-Vertices are dense integers 0..n-1, stored as given: a non-integer edge
-endpoint raises instead of being truncated.  A distinguished ("infinite
-weight") vertex can never be part of a separator; terminals are always
-distinguished.  Graphs are immutable after construction and all operations
-are pure, so they are safe to share between workers.
+Vertices are dense integers 0..n-1, stored as given: an edge endpoint or
+undeletable vertex that is not an integer raises TypeError, and one outside
+0..n-1 raises ValueError.  A distinguished ("infinite weight") vertex can
+never be part of a separator; terminals are always distinguished.  Graphs
+are immutable after construction and all operations are pure, so they are
+safe to share between workers.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -33,7 +35,7 @@ class Digraph:
         self.vertex_count = vertex_count
         self.infinite = frozenset(infinite)
         for v in self.infinite:
-            if not 0 <= v < vertex_count:
+            if not 0 <= operator.index(v) < vertex_count:
                 raise ValueError(f"infinite vertex {v} out of range")
         self.edges = tuple(edges)
         succ: list[dict[int, None]] = [{} for _ in range(vertex_count)]

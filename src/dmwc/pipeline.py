@@ -18,6 +18,7 @@ being reported as no solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable
 
 from .graph import Digraph, Instance, connected_terminal, reachable_from
@@ -37,15 +38,9 @@ class Solution:
 
 
 def verify_solution(inst: Instance, s: Iterable[int]) -> bool:
-    """s is disjoint from the distinguished vertices, within budget, and no
-    ordered terminal pair stays connected."""
-    ss = frozenset(s)
-    g = inst.graph
-    if ss & g.infinite or len(ss) > inst.budget:
-        return False
-    if not ss <= frozenset(g.vertices()):
-        return False
-    return connected_terminal(g, inst.terminals, ss) is None
+    """s is a multicut of every ordered terminal pair: disjoint from the
+    distinguished vertices, within budget, and no terminal reaches another."""
+    return verify_multicut(inst.graph, permutations(inst.terminals, 2), inst.budget, s)
 
 
 def verify_edge_cut(inst: Instance, edges: Iterable[int]) -> bool:

@@ -50,17 +50,12 @@ def deterministic_sets(inst: Instance) -> tuple[frozenset[int], ...]:
     is a subset of S, so it comes no later.
     """
     shadows = build_collection(inst)
+    # after each member, closure holds every union of members so far with at
+    # most p vertices: one that takes this member joins it to a union of the
+    # others, which is no larger, so that union is already in closure
     closure = {frozenset()}
-    frontier = list(closure)
-    while frontier:
-        grown = []
-        for w in frontier:
-            for members in shadows:
-                u = w | members
-                if len(u) <= inst.budget and u not in closure:
-                    closure.add(u)
-                    grown.append(u)
-        frontier = grown
+    for members in shadows:
+        closure |= {u for w in closure if len(u := w | members) <= inst.budget}
     return tuple(dict.fromkeys(
         frozenset().union(*[z for m, z in shadows.items() if m <= w])
         for w in sorted(closure, key=canonical_order)

@@ -64,10 +64,8 @@ def _impsep(
     if lam == 0:
         return {frozenset()}
     v = min(s_star)  # fixed pivot for reproducible enumeration order
-    out: set[frozenset[int]] = set()
-    if p >= 1:
-        for s in _impsep(g, x, y, p - 1, gone | {v}, guard - 1):
-            out.add(s | {v})
+    # 1 <= lam <= p here, so the branch that cuts v has budget p - 1 >= 0
+    out = {s | {v} for s in _impsep(g, x, y, p - 1, gone | {v}, guard - 1)}
     pushed = reachable_from(g, x, s_star | gone) | {v}
     out |= _impsep(g, pushed, y, p, gone, guard - 1)
     return out

@@ -1,15 +1,15 @@
 """Differential check above brute-force size: the bench's own checker, which
-shares no code with dmwc, must accept every deterministic answer, NO
-included (it proves a NO by exhaustive search)."""
+shares no code with dmwc, must accept every deterministic answer of each
+file kind, NO included (it proves a NO by exhaustive search)."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from dmwc.fileformat import from_instance, serialize
-from dmwc.graph import connected_terminal
+from dmwc.fileformat import ProblemFile, from_instance, serialize
+from dmwc.graph import Digraph, connected_terminal
 from dmwc.oracle import generate_instance
-from dmwc.pipeline import solve_vertex
+from dmwc.pipeline import solve_edge, solve_multicut_k2, solve_vertex
 
 CHECK = Path(__file__).resolve().parent.parent / "bench" / "check.py"
 
@@ -17,6 +17,9 @@ CHECK = Path(__file__).resolve().parent.parent / "bench" / "check.py"
 # seeds 2, 4, 5, 6, 8, 16, 19 and 23 are NO too but take 0.25-1.6 s each to
 # solve, so they are left out to keep this test near half a second
 SEEDS = (0, 1, 3, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22)
+# the same shapes with a fifth of the other vertices undeletable; seeds 5, 8,
+# 15, 16, 17, 19 and 23 are NO too but take 0.2-0.7 s each to solve
+UNDELETABLE_SEEDS = (0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14, 18, 20, 21, 22)
 
 
 def _load_checker():
@@ -27,12 +30,14 @@ def _load_checker():
     return module
 
 
-def test_checker_accepts_every_answer():
+def _vertex_answers(seeds, infinite_fraction):
     check = _load_checker()
     kinds = set()
-    for s in SEEDS:
+    for s in seeds:
         n, p = 30 + (s * 5) % 11, 2 + s % 2
-        inst = generate_instance(s, n, 2.5 / n, 2, p)
+        inst = generate_instance(s, n, 2.5 / n, 2, p, infinite_fraction)
+        if infinite_fraction:  # the fraction must leave non-terminal undeletables
+            assert inst.graph.infinite > inst.terminals, s
         sol = solve_vertex(inst)
         answer = None if sol is None else tuple(sorted(sol.vertices))
         prob = check.read_problem(serialize(from_instance(inst)))
@@ -40,4 +45,44 @@ def test_checker_accepts_every_answer():
         g = inst.graph
         joined = connected_terminal(g, inst.terminals, g.deletable()) is not None
         kinds.add("yes" if sol is not None else "joined no" if joined else "no")
-    assert kinds == {"yes", "no", "joined no"}
+    return kinds
+
+
+def test_checker_accepts_every_answer():
+    assert _vertex_answers(SEEDS, 0.0) == {"yes", "no", "joined no"}
+
+
+def test_checker_accepts_answers_with_undeletable_vertices():
+    assert _vertex_answers(UNDELETABLE_SEEDS, 0.2) == {"yes", "no", "joined no"}
+
+
+def test_checker_accepts_edge_answers():
+    check = _load_checker()
+    kinds = set()
+    for s in range(20):
+        n, p = 8 + s % 5, 1 + s % 2
+        inst = generate_instance(s, n, 2.5 / n, 2 + (s // 2) % 2, p)
+        sol = solve_edge(inst)
+        answer = None if sol is None else sol.edges
+        prob = check.read_problem(serialize(from_instance(inst, "edge")))
+        assert check.check_answer(prob, answer) is None, s
+        kinds.add("no" if sol is None else "yes")
+    assert kinds == {"yes", "no"}
+
+
+def test_checker_accepts_multicut2_answers():
+    # built as the reductions corpus builds them: the generator's four
+    # terminals, sorted, make the two pairs, and no vertex is undeletable
+    check = _load_checker()
+    kinds = set()
+    for s in range(20):
+        n, p = 12 + (s * 3) % 9, 1 + s % 2
+        inst = generate_instance(s, n, 2.5 / n, 4, p)
+        a, b, c, d = sorted(inst.terminals)
+        g = Digraph(n, inst.graph.edges)
+        sol = solve_multicut_k2(g, [(a, b), (c, d)], p)
+        answer = None if sol is None else tuple(sorted(sol.vertices))
+        pf = ProblemFile("multicut2", g, p, pairs=((a, b), (c, d)))
+        assert check.check_answer(check.read_problem(serialize(pf)), answer) is None, s
+        kinds.add("no" if sol is None else "yes")
+    assert kinds == {"yes", "no"}

@@ -149,6 +149,14 @@ def test_shadow_command(tmp_path, capsys):
     assert lines[3].split()[1:] == ["1", str(fx.c(1, 2))]
     # terminals in the set is an input error
     assert main(["shadow", str(path), "--set", "0"]) == 2
+    # so is a multicut2 file, which has no terminals
+    mc = tmp_path / "mc.dmwc"
+    mc.write_text("dmwc multicut2\nn 4\np 1\npair 0 1\npair 2 3\ne 0 1\n")
+    capsys.readouterr()
+    assert main(["shadow", str(mc), "--set", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_gen_fixture_round_trip(tmp_path, capsys):
@@ -189,6 +197,22 @@ def test_verify_round_trip(two_cycle_file, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n")
     assert main(["verify", two_cycle_file, "--solution", str(bad)]) == 1
+    assert capsys.readouterr().out.strip() == "INVALID"
+
+
+def test_edge_file_solve_and_verify(tmp_path, capsys):
+    # an edge answer lists indices into the file's edge list
+    path = tmp_path / "edge.dmwc"
+    path.write_text(serialize(from_instance(two_cycle(2), "edge")))
+    assert main(["solve", str(path)]) == 0
+    answer = capsys.readouterr().out
+    assert answer.strip() == "SOLUTION 2 1 2"
+    sol = tmp_path / "answer.txt"
+    sol.write_text(answer)
+    assert main(["verify", str(path), "--solution", str(sol)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+    sol.write_text("SOLUTION 1 1\n")  # 1 -> 3 -> 0 survives
+    assert main(["verify", str(path), "--solution", str(sol)]) == 1
     assert capsys.readouterr().out.strip() == "INVALID"
 
 

@@ -83,6 +83,24 @@ def test_columns_come_from_token_offsets():
     assert err.column == 6
 
 
+def test_missing_lines_and_negative_counts_carry_position():
+    # what is missing is only known at the end of the file, reported at line 1
+    for text, missing in [
+        ("# a comment only\n", "missing 'dmwc <kind>' header"),
+        ("dmwc vertex\np 1\nt 0\n", "missing 'n' line"),
+        ("dmwc vertex\nn 3\nt 0\n", "missing 'p' line"),
+    ]:
+        err = _fails_at(text, 1)
+        assert err.column == 1
+        assert missing in str(err)
+    err = _fails_at("dmwc vertex\nn -1\n", 2)
+    assert err.column == 3
+    assert "vertex count must be non-negative" in str(err)
+    err = _fails_at("dmwc vertex\nn 3\n  p -2\n", 3)
+    assert err.column == 5
+    assert "budget must be non-negative" in str(err)
+
+
 def test_out_of_range_ids_carry_their_position():
     text = "dmwc vertex\nn 3\np 1\nt 0\nt 1\ne 0 2\ne 1 7\n"
     err = _fails_at(text, 7)
@@ -109,6 +127,9 @@ def test_duplicate_header_lines_rejected():
     err = _fails_at("dmwc vertex\nn 3\np 1\nn 4\nt 0\n", 4)
     assert "duplicate 'n'" in str(err)
     err = _fails_at("dmwc vertex\nn 3\ndmwc edge\n", 3)
+    assert "duplicate 'dmwc'" in str(err)
+    # a second header is a duplicate before its argument count is looked at
+    err = _fails_at("dmwc vertex\nn 3\ndmwc\n", 3)
     assert "duplicate 'dmwc'" in str(err)
 
 

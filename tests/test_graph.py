@@ -23,6 +23,9 @@ def test_construction_validates():
     for edge in [(0.5, 1), (1, 1.0), ("0", 1)]:
         with pytest.raises(TypeError):
             Digraph(2, [edge])
+    for infinite in [[0.5, 1], [1.0], ["0"]]:
+        with pytest.raises(TypeError):
+            Digraph(3, [(0, 2), (2, 1)], infinite)
 
 
 def test_instance_validates():

@@ -63,6 +63,16 @@ def test_generator_validates():
         generate_instance(0, 3, 0.5, 2, 1, 2.0)
 
 
+def test_hub_fan_validates():
+    for r, k in [(0, 2), (3, 0)]:
+        with pytest.raises(ValueError, match="positive"):
+            hub_fan(r, k)
+    fx = hub_fan(3, 2)
+    for i, j in [(0, 2), (2, 2), (2, 1), (1, 4)]:
+        with pytest.raises(ValueError, match="1 <= i < j <= r"):
+            fx.c(i, j)
+
+
 def test_named_fixtures():
     fx = named_fixture("remark2:r=3,k=2")
     assert fx == hub_fan(3, 2).instance
