@@ -198,7 +198,9 @@ def _read_solution_ids(path: str) -> list[int]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     pf = _read_problem(args.instance)
     ids = _read_solution_ids(args.solution)
-    if pf.kind == "vertex":
+    if len(set(ids)) != len(ids):  # a cut names each vertex or edge once
+        ok = False
+    elif pf.kind == "vertex":
         ok = verify_solution(pf.to_instance(), ids)
     elif pf.kind == "edge":
         ok = verify_edge_cut(pf.to_instance(), ids)

@@ -117,6 +117,11 @@ def reachable_from(
     gone = _check_ids(g, removed)
     if src & gone:
         raise ValueError("sources and removed must be disjoint")
+    return _reach(g, src, gone)
+
+
+def _reach(g: Digraph, src: frozenset[int], gone: frozenset[int]) -> frozenset[int]:
+    """`reachable_from` without its checks: the caller has already checked the ids."""
     seen = set(src)
     queue = deque(src)
     while queue:
@@ -141,7 +146,7 @@ def connected_terminal(
 
 def min_vertex_separator(
     g: Digraph, x: Iterable[int], y: Iterable[int], removed: Iterable[int] = ()
-) -> tuple[int, frozenset[int]] | None:
+) -> frozenset[int] | None:
     """Minimum x-y separator in g minus `removed` with inclusion-maximal reach from x.
 
     Realized by max-flow on the in/out node-splitting network, kept implicit:
@@ -169,8 +174,8 @@ def min_vertex_separator(
     residual path into the sink side.  The unique max-reach minimum separator
     is the set of cuttable v whose v_out it saw and whose v_in it did not.
 
-    Returns (lambda, separator), or None when no finite separator exists
-    (an x-to-y path through only undeletable vertices).
+    Returns the separator, whose size is lambda, or None when no finite
+    separator exists (an x-to-y path through only undeletable vertices).
     """
     xs = _check_ids(g, x)
     ys = _check_ids(g, y)
@@ -180,7 +185,7 @@ def min_vertex_separator(
     if xs & ys or gone & (xs | ys):
         raise ValueError("x, y and removed must be pairwise disjoint")
     cuttable = g.deletable() - xs - ys - gone
-    if reachable_from(g, xs, cuttable | gone) & ys:
+    if _reach(g, xs, cuttable | gone) & ys:
         return None
 
     succ, pred = g._succ, g._pred
@@ -240,4 +245,4 @@ def min_vertex_separator(
     )
     if len(separator) != value:
         raise RuntimeError("cut extraction disagrees with flow value")
-    return value, separator
+    return separator

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import Digraph, Instance, min_vertex_separator, reachable_from
+from .graph import Digraph, Instance, _reach, min_vertex_separator
 
 
 def canonical_order(s: frozenset[int]) -> tuple[int, tuple[int, ...]]:
@@ -40,7 +40,8 @@ def enumerate_important(
     if p < 0:
         raise ValueError("budget must be non-negative")
     candidates = _impsep(g, xs, ys, p, gone, 2 * p + 1)
-    reach = {s: reachable_from(g, xs, s | gone) for s in candidates}
+    # candidates exist only after the first flow call has checked xs and gone
+    reach = {s: _reach(g, xs, s | gone) for s in candidates}
     return [
         s for s in sorted(candidates, key=canonical_order)
         if not any(
@@ -55,18 +56,15 @@ def _impsep(
 ) -> set[frozenset[int]]:
     if guard < 0:
         raise RuntimeError("important-separator recursion exceeded depth bound")
-    found = min_vertex_separator(g, x, y, gone)
-    if found is None:
+    s_star = min_vertex_separator(g, x, y, gone)
+    if s_star is None or len(s_star) > p:
         return set()
-    lam, s_star = found
-    if lam > p:
-        return set()
-    if lam == 0:
+    if not s_star:
         return {frozenset()}
     v = min(s_star)  # fixed pivot for reproducible enumeration order
-    # 1 <= lam <= p here, so the branch that cuts v has budget p - 1 >= 0
+    # 1 <= |s_star| <= p here, so the branch that cuts v has budget p - 1 >= 0
     out = {s | {v} for s in _impsep(g, x, y, p - 1, gone | {v}, guard - 1)}
-    pushed = reachable_from(g, x, s_star | gone) | {v}
+    pushed = _reach(g, x, s_star | gone) | {v}
     out |= _impsep(g, pushed, y, p, gone, guard - 1)
     return out
 

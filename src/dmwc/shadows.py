@@ -65,12 +65,7 @@ def is_important(
     xs, ys, ss = frozenset(x), frozenset(y), frozenset(s)
     if not is_separator(g, xs, ys, ss):
         return False
-    reach = reachable_from(g, xs, ss)
-    found = min_vertex_separator(g, reach, ys)
-    if found is None:
-        return False
-    lam, s_star = found
-    return lam == len(ss) and s_star == ss
+    return min_vertex_separator(g, reachable_from(g, xs, ss), ys) == ss
 
 
 @dataclass(frozen=True)

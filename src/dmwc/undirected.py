@@ -4,7 +4,7 @@ important terminal separators over the symmetric digraph."""
 from __future__ import annotations
 
 from .graph import Instance, connected_terminal
-from .separators import enumerate_important
+from .separators import canonical_order, enumerate_important
 
 
 def solve_undirected(inst: Instance) -> frozenset[int] | None:
@@ -17,20 +17,17 @@ def solve_undirected(inst: Instance) -> frozenset[int] | None:
     minimum size among those found, which makes the output deterministic.
     """
     g, terminals, budget = inst.graph, inst.terminals, inst.budget
-    best: list[frozenset[int] | None] = [None]
-
-    def better(s: frozenset[int]) -> bool:
-        cur = best[0]
-        return cur is None or (len(s), sorted(s)) < (len(cur), sorted(cur))
+    best: frozenset[int] | None = None
 
     def rec(acc: frozenset[int]) -> None:
         # the state is the cut so far: g minus acc, with budget - |acc| left
-        if best[0] is not None and len(acc) > len(best[0]):
+        nonlocal best
+        if best is not None and len(acc) > len(best):
             return
         t = connected_terminal(g, terminals, acc)
         if t is None:
-            if better(acc):
-                best[0] = acc
+            if best is None or canonical_order(acc) < canonical_order(best):
+                best = acc
             return
         if len(acc) == budget:
             return
@@ -38,4 +35,4 @@ def solve_undirected(inst: Instance) -> frozenset[int] | None:
             rec(acc | sep)
 
     rec(frozenset())
-    return best[0]
+    return best

@@ -41,7 +41,7 @@ def _separator_corpus():
                 if x == y:
                     continue
                 found = min_vertex_separator(g, {x}, {y})
-                lam = None if found is None else found[0]
+                lam = None if found is None else len(found)
                 seps = set(enumerate_important(g, {x}, {y}, MAX_P))
                 pairs.append((x, y, lam, seps))
         corpus.append((g, pairs))

@@ -20,6 +20,13 @@ SEEDS = (0, 1, 3, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22)
 # the same shapes with a fifth of the other vertices undeletable; seeds 5, 8,
 # 15, 16, 17, 19 and 23 are NO too but take 0.2-0.7 s each to solve
 UNDELETABLE_SEEDS = (0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14, 18, 20, 21, 22)
+# reference size, generate_instance(s, n, 2.5/n, 2, 2) for n = 45 + 5s mod 16:
+# seed 0 is the one walked NO kept; seeds 2, 3, 5, 8, 9, 18, 19 and 20 are NO
+# too and seed 15 is YES, but each takes 0.4-3.3 s to solve
+REFERENCE_SEEDS = (0, 1, 4, 6, 7, 10, 11, 12, 13, 14, 16, 17)
+# edge files at n = 14 + s mod 7: seeds 1, 4, 5, 6, 9, 10, 13, 15, 16, 17, 19,
+# 20 and 21 are NO too but take 0.03-0.4 s each to solve
+REFERENCE_EDGE_SEEDS = (0, 2, 3, 7, 8, 11, 12, 14, 18, 22, 23)
 
 
 def _load_checker():
@@ -30,11 +37,15 @@ def _load_checker():
     return module
 
 
-def _vertex_answers(seeds, infinite_fraction):
+def _corpus_shape(s):
+    return 30 + (s * 5) % 11, 2 + s % 2
+
+
+def _vertex_answers(seeds, infinite_fraction, shape=_corpus_shape):
     check = _load_checker()
     kinds = set()
     for s in seeds:
-        n, p = 30 + (s * 5) % 11, 2 + s % 2
+        n, p = shape(s)
         inst = generate_instance(s, n, 2.5 / n, 2, p, infinite_fraction)
         if infinite_fraction:  # the fraction must leave non-terminal undeletables
             assert inst.graph.infinite > inst.terminals, s
@@ -56,11 +67,30 @@ def test_checker_accepts_answers_with_undeletable_vertices():
     assert _vertex_answers(UNDELETABLE_SEEDS, 0.2) == {"yes", "no", "joined no"}
 
 
+def test_checker_accepts_answers_at_reference_size():
+    kinds = _vertex_answers(REFERENCE_SEEDS, 0.0, lambda s: (45 + (s * 5) % 16, 2))
+    assert kinds == {"yes", "no", "joined no"}
+
+
 def test_checker_accepts_edge_answers():
     check = _load_checker()
     kinds = set()
     for s in range(20):
         n, p = 8 + s % 5, 1 + s % 2
+        inst = generate_instance(s, n, 2.5 / n, 2 + (s // 2) % 2, p)
+        sol = solve_edge(inst)
+        answer = None if sol is None else sol.edges
+        prob = check.read_problem(serialize(from_instance(inst, "edge")))
+        assert check.check_answer(prob, answer) is None, s
+        kinds.add("no" if sol is None else "yes")
+    assert kinds == {"yes", "no"}
+
+
+def test_checker_accepts_edge_answers_at_reference_size():
+    check = _load_checker()
+    kinds = set()
+    for s in REFERENCE_EDGE_SEEDS:
+        n, p = 14 + s % 7, 1 + s % 2
         inst = generate_instance(s, n, 2.5 / n, 2 + (s // 2) % 2, p)
         sol = solve_edge(inst)
         answer = None if sol is None else sol.edges

@@ -54,7 +54,7 @@ def test_solver_bug_exits_4_in_every_subcommand(tmp_path, capsys, monkeypatch):
     # exceeds its bound: a solver bug, which must not read as "no solution"
     path = tmp_path / "path.dmwc"
     path.write_text("dmwc vertex\nn 3\np 1\nt 0\nt 2\ninf 1\ne 0 1\ne 1 2\n")
-    monkeypatch.setattr("dmwc.graph.reachable_from", lambda *args: frozenset())
+    monkeypatch.setattr("dmwc.graph._reach", lambda *args: frozenset())
     args = ["enumerate-seps", str(path), "--source", "0", "--target", "2", "--budget", "1"]
     assert main(args) == 4
     captured = capsys.readouterr()
@@ -228,6 +228,25 @@ def test_verify_rejects_malformed_solution_line(two_cycle_file, tmp_path, capsys
     sol.write_text("2 3\n")  # a bare id list stays valid
     assert main(["verify", two_cycle_file, "--solution", str(sol)]) == 0
     assert capsys.readouterr().out.strip() == "OK"
+
+
+@pytest.mark.parametrize("text, distinct, repeated", [
+    (serialize(from_instance(two_cycle(2))), "SOLUTION 2 2 3\n", "SOLUTION 3 2 3 3\n"),
+    ("dmwc edge\nn 2\np 1\nt 0\nt 1\ne 0 1\n", "SOLUTION 1 0\n", "SOLUTION 2 0 0\n"),
+    ("dmwc multicut2\nn 3\np 1\npair 1 2\npair 2 1\ne 1 0\ne 0 2\ne 2 0\ne 0 1\n",
+     "SOLUTION 1 0\n", "SOLUTION 2 0 0\n"),
+], ids=["vertex", "edge", "multicut2"])
+def test_verify_rejects_repeated_ids(tmp_path, capsys, text, distinct, repeated):
+    # the same ids listed once are a valid cut; listed twice they are no answer
+    path = tmp_path / "problem.dmwc"
+    path.write_text(text)
+    sol = tmp_path / "answer.txt"
+    sol.write_text(distinct)
+    assert main(["verify", str(path), "--solution", str(sol)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+    sol.write_text(repeated)
+    assert main(["verify", str(path), "--solution", str(sol)]) == 1
+    assert capsys.readouterr().out.strip() == "INVALID"
 
 
 def test_verify_multicut_rejects_undeletable_vertex(tmp_path, capsys):

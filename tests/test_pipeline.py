@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_digraph, small_instances
+from conftest import random_digraph, small_instances, with_loops_and_repeats
 from dmwc.fixtures import hub_fan, two_cycle
 from dmwc.graph import Digraph, Instance, connected_terminal, reachable_from, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
@@ -279,3 +279,40 @@ def test_multicut_agrees_with_brute_force():
         got = solve_multicut_k2(g, pairs, p)
         want = _brute_multicut(g, pairs, p)
         assert (got is None) == (want is None), i
+
+
+def test_loops_and_repeated_edges_keep_every_answer():
+    # self-loops and parallel edges are legal in every file kind; each kind
+    # must still agree with its brute force, on YES and on walked NO answers
+    def answer(got, joined):
+        return "yes" if got is not None else "joined no" if joined else "no"
+
+    vertex = set()
+    for inst in small_instances(80, seed0=300, max_n=9, max_p=2):
+        g = with_loops_and_repeats(inst.graph)
+        inst = Instance(g, inst.terminals, inst.budget)
+        got = solve_vertex(inst)
+        assert (got is None) == (brute_force_mwc(inst) is None), inst
+        joined = connected_terminal(g, inst.terminals, g.deletable()) is not None
+        vertex.add(answer(got, joined))
+    edge = set()
+    for inst in small_instances(80, seed0=700, max_n=7, max_p=2):
+        g = with_loops_and_repeats(inst.graph)
+        got = solve_edge(Instance(g, inst.terminals, inst.budget))
+        assert (got is None) == (_brute_edge(g, inst.terminals, inst.budget) is None), inst
+        edge.add(answer(got, False))  # every path crosses a cuttable edge
+    multicut = set()
+    for i in range(80):
+        g = with_loops_and_repeats(
+            random_digraph(9500 + i, 4 + i % 5, 0.25, 0.1 if i % 4 == 0 else 0.0)
+        )
+        pairs, p = [(0, 1), (2, 3)], i % 3
+        got = solve_multicut_k2(g, pairs, p)
+        assert (got is None) == (_brute_multicut(g, pairs, p) is None), i
+        joined = any(
+            {a, b} <= g.infinite and b in reachable_from(g, {a}, g.deletable())
+            for a, b in pairs
+        )
+        multicut.add(answer(got, joined))
+    assert vertex == {"yes", "no", "joined no"}
+    assert edge == multicut == {"yes", "no"}

@@ -171,7 +171,7 @@ def test_count_bound():
                 found = min_vertex_separator(g, {x}, {y})
                 if found is None:
                     continue
-                lam = found[0]
+                lam = len(found)
                 for p in range(4):
                     count = len(enumerate_important(g, {x}, {y}, p))
                     if p >= lam:
@@ -204,7 +204,7 @@ def test_reach_containment():
                 found = min_vertex_separator(g, {x}, {y})
                 if found is None:
                     continue
-                base = reachable_from(g, {x}, found[1])
+                base = reachable_from(g, {x}, found)
                 for sep in enumerate_important(g, {x}, {y}, 2):
                     assert base <= reachable_from(g, {x}, sep)
 
