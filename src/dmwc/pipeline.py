@@ -10,6 +10,17 @@ sub-solver's cut of it needs no mapping back; the first answer (in family
 order) wins.  Distinct combined choices are attempted once and memoized,
 since the reduced instance depends only on their union.
 
+The inner instances of one solve differ only in their undeletable set, so
+the inner build for the first outer choice z1_0 is kept as the base
+(`separators.InnerBase`) and every later inner build re-enumerates only the
+witnesses whose max-flow recursion met a vertex of z1 - z1_0; the
+`separators` module docstring proves that the others keep their important
+separators.  The base is valid because every later z1 contains z1_0: the
+outer family's first set W is empty, and each z1 is the union of the shadows
+of the collection members inside its W, so it contains the shadow of the
+empty member whenever there is one.  A z1 that does not contain z1_0 would
+be a solver bug and raises RuntimeError.
+
 Every answer is re-checked on the input instance before it is returned.  A
 failed check can only be a solver bug, so it raises RuntimeError rather than
 being reported as no solution.
@@ -24,6 +35,7 @@ from typing import Iterable
 from .graph import Digraph, Instance, connected_terminal, reachable_from
 from .rng import SplitMix64
 from .sampling import deterministic_sets, random_set
+from .separators import InnerBase
 from .torso import reduce_instance
 from .undirected import solve_undirected
 
@@ -114,9 +126,10 @@ def solve_vertex(
         return _attempt(inst, z1 | z2)
 
     tried: set[frozenset[int]] = set()
+    base = InnerBase()  # filled by the first inner build, read by the others
     for z1 in deterministic_sets(inst):
         # the inner family depends on z1 through the enlarged undeletable set
-        for z2 in deterministic_sets(_second_stage(inst, z1)):
+        for z2 in deterministic_sets(_second_stage(inst, z1), base):
             z = z1 | z2
             if z not in tried:
                 tried.add(z)

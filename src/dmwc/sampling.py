@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .graph import Instance
 from .rng import SplitMix64
-from .separators import build_collection, canonical_order
+from .separators import InnerBase, build_collection, canonical_order
 
 
 def random_set(inst: Instance, seed: int) -> frozenset[int]:
@@ -38,7 +38,9 @@ def random_set(inst: Instance, seed: int) -> frozenset[int]:
     return frozenset().union(*[z for z in shadows if rng.coin()])
 
 
-def deterministic_sets(inst: Instance) -> tuple[frozenset[int], ...]:
+def deterministic_sets(
+    inst: Instance, base: InnerBase | None = None
+) -> tuple[frozenset[int], ...]:
     """Deterministic candidate family covering every (thin S, Y) pair.
 
     The sets W are the closure of {emptyset} under union with a collection
@@ -47,9 +49,10 @@ def deterministic_sets(inst: Instance) -> tuple[frozenset[int], ...]:
     and each distinct union of the shadows of the members inside W is kept at
     its first W.  A walk over every deletable S of at most p vertices in that
     order gives the same output: the W of any S holds the same members and
-    is a subset of S, so it comes no later.
+    is a subset of S, so it comes no later.  `base` goes to
+    `build_collection`, and the family does not depend on it.
     """
-    shadows = build_collection(inst)
+    shadows = build_collection(inst, base)
     # after each member, closure holds every union of members so far with at
     # most p vertices: one that takes this member joins it to a union of the
     # others, which is no larger, so that union is already in closure

@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from dmwc.graph import Digraph
+from dmwc.graph import Digraph, reachable_from
 from dmwc.oracle import generate_instance
 from dmwc.rng import SplitMix64
 
@@ -61,3 +61,34 @@ def subsets_upto(pool, size):
     for s in range(size + 1):
         for combo in combinations(sorted(pool), s):
             yield frozenset(combo)
+
+
+def brute_edge(g, terminals, p):
+    """A smallest tuple of at most p edge indices whose deletion disconnects
+    every ordered terminal pair, or None."""
+    for size in range(min(p, len(g.edges)) + 1):
+        for combo in combinations(range(len(g.edges)), size):
+            gone = set(combo)
+            h = Digraph(
+                g.vertex_count,
+                [e for i, e in enumerate(g.edges) if i not in gone],
+                g.infinite,
+            )
+            if all(
+                not reachable_from(h, {t}) & (terminals - {t}) for t in terminals
+            ):
+                return combo
+    return None
+
+
+def brute_multicut(g, pairs, p):
+    """A smallest set of at most p deletable vertices that cuts every request
+    pair (an endpoint in the set counts as cut), or None."""
+    pool = sorted(set(g.vertices()) - g.infinite)
+    for s in subsets_upto(pool, p):
+        if all(
+            a in s or b in s or b not in reachable_from(g, {a}, s - {a})
+            for a, b in pairs
+        ):
+            return s
+    return None

@@ -3,7 +3,13 @@ line on the terminal even when pytest captures output."""
 
 from functools import lru_cache
 
-from conftest import random_digraph, small_instances, subsets_upto
+from conftest import (
+    brute_edge,
+    brute_multicut,
+    random_digraph,
+    small_instances,
+    subsets_upto,
+)
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, min_vertex_separator, reachable_from
 from dmwc.oracle import (
@@ -162,48 +168,19 @@ def test_criterion_07_end_to_end_equivalence(capsys):
     _report(capsys, "criterion 7: solver agrees with brute force", ok)
 
 
-def _brute_edge_feasible(g, terminals, p):
-    from itertools import combinations
-
-    for size in range(min(p, len(g.edges)) + 1):
-        for combo in combinations(range(len(g.edges)), size):
-            gone = set(combo)
-            h = Digraph(
-                g.vertex_count,
-                [e for i, e in enumerate(g.edges) if i not in gone],
-                g.infinite,
-            )
-            if all(
-                not reachable_from(h, {t}) & (terminals - {t}) for t in terminals
-            ):
-                return True
-    return False
-
-
-def _brute_multicut_feasible(g, pairs, p):
-    pool = sorted(set(g.vertices()) - g.infinite)
-    for s in subsets_upto(pool, p):
-        if all(
-            a in s or b in s or b not in reachable_from(g, {a}, s - {a})
-            for a, b in pairs
-        ):
-            return True
-    return False
-
-
 def test_criterion_08_reductions_match_brute_force(capsys):
     ok = True
     for i in range(200):
         inst = generate_instance(8000 + i, 3 + i % 5, 0.25 + 0.05 * (i % 3), 2, i % 3)
         got = solve_edge(inst)
-        want = _brute_edge_feasible(inst.graph, inst.terminals, inst.budget)
+        want = brute_edge(inst.graph, inst.terminals, inst.budget) is not None
         ok = ok and (got is not None) == want
     for i in range(200):
         g = random_digraph(9000 + i, 4 + i % 5, 0.25, 0.1 if i % 4 == 0 else 0.0)
         pairs = [(0, 1), (2, 3)]
         p = i % 3
         got = solve_multicut_k2(g, pairs, p)
-        want = _brute_multicut_feasible(g, pairs, p)
+        want = brute_multicut(g, pairs, p) is not None
         ok = ok and (got is not None) == want
     _report(capsys, "criterion 8: edge and two-pair reductions", ok)
 

@@ -1,10 +1,15 @@
 import inspect
 import sys
-from itertools import combinations
 
 import pytest
 
-from conftest import random_digraph, small_instances, with_loops_and_repeats
+from conftest import (
+    brute_edge,
+    brute_multicut,
+    random_digraph,
+    small_instances,
+    with_loops_and_repeats,
+)
 from dmwc.fixtures import hub_fan, two_cycle
 from dmwc.graph import Digraph, Instance, connected_terminal, reachable_from, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
@@ -93,10 +98,10 @@ def test_solve_path_needs_no_shadow_or_importance_check(monkeypatch):
         assert (got is None) == (brute_force_mwc(inst) is None), seed
     assert solve_vertex(two_cycle(2), mode="randomized", seed=1) is not None
     edge = generate_instance(3, 6, 0.3, 2, 1)
-    assert (solve_edge(edge) is None) == (_brute_edge(edge.graph, edge.terminals, 1) is None)
+    assert (solve_edge(edge) is None) == (brute_edge(edge.graph, edge.terminals, 1) is None)
     mc = random_digraph(4003, 6, 0.25)
     got = solve_multicut_k2(mc, [(0, 1), (2, 3)], 2)
-    assert (got is None) == (_brute_multicut(mc, [(0, 1), (2, 3)], 2) is None)
+    assert (got is None) == (brute_multicut(mc, [(0, 1), (2, 3)], 2) is None)
 
 
 def test_failed_verification_raises(monkeypatch):
@@ -200,23 +205,6 @@ def test_deterministic_output_is_stable():
             assert a.vertices == b.vertices
 
 
-def _brute_edge(g, terminals, p):
-    idx = range(len(g.edges))
-    for size in range(min(p, len(g.edges)) + 1):
-        for combo in combinations(idx, size):
-            gone = set(combo)
-            h = Digraph(
-                g.vertex_count,
-                [e for i, e in enumerate(g.edges) if i not in gone],
-                g.infinite,
-            )
-            if all(
-                not reachable_from(h, {t}) & (terminals - {t}) for t in terminals
-            ):
-                return combo
-    return None
-
-
 def test_edge_variant_examples():
     g = Digraph(3, [(0, 2), (2, 1)], {0, 1})
     inst = Instance(g, frozenset({0, 1}), 1)
@@ -235,21 +223,8 @@ def test_edge_variant_agrees_with_brute_force():
     for i in range(60):
         inst = generate_instance(3000 + i, 3 + i % 3, 0.3, 2, i % 2)
         got = solve_edge(inst)
-        want = _brute_edge(inst.graph, inst.terminals, inst.budget)
+        want = brute_edge(inst.graph, inst.terminals, inst.budget)
         assert (got is None) == (want is None), i
-
-
-def _brute_multicut(g, pairs, p):
-    pool = sorted(set(g.vertices()) - g.infinite)
-    for size in range(min(p, len(pool)) + 1):
-        for combo in combinations(pool, size):
-            s = frozenset(combo)
-            if all(
-                a in s or b in s or b not in reachable_from(g, {a}, s - {a})
-                for a, b in pairs
-            ):
-                return s
-    return None
 
 
 def test_multicut_examples():
@@ -277,7 +252,7 @@ def test_multicut_agrees_with_brute_force():
         pairs = [(0, 1), (2, 3)]
         p = i % 3
         got = solve_multicut_k2(g, pairs, p)
-        want = _brute_multicut(g, pairs, p)
+        want = brute_multicut(g, pairs, p)
         assert (got is None) == (want is None), i
 
 
@@ -299,7 +274,7 @@ def test_loops_and_repeated_edges_keep_every_answer():
     for inst in small_instances(80, seed0=700, max_n=7, max_p=2):
         g = with_loops_and_repeats(inst.graph)
         got = solve_edge(Instance(g, inst.terminals, inst.budget))
-        assert (got is None) == (_brute_edge(g, inst.terminals, inst.budget) is None), inst
+        assert (got is None) == (brute_edge(g, inst.terminals, inst.budget) is None), inst
         edge.add(answer(got, False))  # every path crosses a cuttable edge
     multicut = set()
     for i in range(80):
@@ -308,7 +283,7 @@ def test_loops_and_repeated_edges_keep_every_answer():
         )
         pairs, p = [(0, 1), (2, 3)], i % 3
         got = solve_multicut_k2(g, pairs, p)
-        assert (got is None) == (_brute_multicut(g, pairs, p) is None), i
+        assert (got is None) == (brute_multicut(g, pairs, p) is None), i
         joined = any(
             {a, b} <= g.infinite and b in reachable_from(g, {a}, g.deletable())
             for a, b in pairs

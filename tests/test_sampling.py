@@ -124,9 +124,9 @@ def test_union_closure_matches_reference_walk():
 def test_one_collection_build_per_family(monkeypatch):
     calls = []
 
-    def counting(inst):
+    def counting(inst, base=None):
         calls.append(inst)
-        return build_collection(inst)
+        return build_collection(inst, base)
 
     monkeypatch.setattr(sampling, "build_collection", counting)
     fx = hub_fan(3, 2)

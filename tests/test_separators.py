@@ -8,8 +8,10 @@ from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance, min_vertex_separator, reachable_from
 from dmwc.oracle import brute_force_important, generate_instance
 from dmwc.rng import SplitMix64
+from dmwc.pipeline import _second_stage
+from dmwc.sampling import deterministic_sets
 from dmwc.undirected import solve_undirected
-from dmwc.separators import build_collection, enumerate_important
+from dmwc.separators import InnerBase, build_collection, enumerate_important
 from dmwc.shadows import is_important, is_minimal_separator, is_separator
 
 PATH = Digraph(4, [(0, 1), (1, 2), (2, 3)], {0, 3})  # x=0, a=1, b=2, y=3
@@ -255,3 +257,50 @@ def test_build_collection_edge_cases():
         g2 = Digraph(7, base.edges, {0, 1})
         inst = Instance(g2, frozenset({0, 1}), 2)
         assert len(build_collection(inst)) <= 4**2 * 7
+
+
+def test_reused_inner_collection_equals_a_fresh_build(monkeypatch):
+    # the vertex instances that solve_edge and solve_multicut_k2 build
+    from dmwc import pipeline
+
+    gadgets = []
+    monkeypatch.setattr(pipeline, "solve_vertex", lambda inst, **kw: gadgets.append(inst))
+    for s in range(6):
+        pipeline.solve_edge(generate_instance(s, 5 + s % 3, 0.3, 2, 1 + s % 2))
+        g = random_digraph(4100 + s, 7 + s % 3, 0.25)
+        pipeline.solve_multicut_k2(g, [(0, 1), (2, 3)], 1 + s % 2)
+    monkeypatch.undo()
+    shapes = [(s, 20 + 3 * s % 11, 2 + s % 2, 0.1 * (s % 3 == 0)) for s in range(10)]
+    vertex = [generate_instance(s, n, 2.5 / n, 2, p, inf) for s, n, p, inf in shapes]
+    reused = changed = 0
+    for inst in vertex + gadgets:
+        base = InnerBase()
+        for z1 in deterministic_sets(inst):
+            inner = _second_stage(inst, z1)
+            first = base.instance is None
+            got = build_collection(inner, base)
+            assert list(got.items()) == list(build_collection(inner).items())
+            if first:
+                continue
+            added = inner.graph.infinite - base.instance.graph.infinite
+            for v, (seps, met) in base.witnesses.items():
+                if not met & added:
+                    reused += 1
+                    continue
+                fresh = enumerate_important(inner.graph, {v}, inst.terminals, inst.budget)
+                changed += fresh != seps
+    # some witnesses came from the base, and some that were enumerated again
+    # really changed, so the `met` check decides which is which
+    assert reused and changed
+
+
+def test_reuse_rejects_an_inner_build_that_does_not_extend_the_base():
+    inst = generate_instance(1, 14, 2.5 / 14, 2, 2)
+    z1_0, z1 = deterministic_sets(inst)[:2]  # z1_0 is a proper subset of z1
+    base = InnerBase()
+    build_collection(_second_stage(inst, z1), base)
+    with pytest.raises(RuntimeError, match="more undeletables"):
+        build_collection(_second_stage(inst, z1_0), base)
+    other_budget = Instance(_second_stage(inst, z1).graph, inst.terminals, 3)
+    with pytest.raises(RuntimeError, match="more undeletables"):
+        build_collection(other_budget, base)
