@@ -1,8 +1,8 @@
 """Fixed-parameter solver for directed multiway cut.
 
-The solve path combines important-separator enumeration, candidate sampling
-over exact reverse shadows (randomized or derandomized), the torso
-reduction, and an undirected multiway-cut sub-solver.  The definitional
+The solve path combines important-separator enumeration, deterministic
+candidate families over exact reverse shadows, the torso reduction, and an
+undirected multiway-cut sub-solver.  The definitional
 predicates in `shadows` (shadows, thinness, minimality, importance) and the
 brute-force oracles are references for the CLI and for small-scale
 cross-validation; the solver never calls them.
@@ -23,7 +23,7 @@ from .pipeline import (
     solve_vertex,
     verify_solution,
 )
-from .sampling import deterministic_sets, random_set
+from .sampling import deterministic_sets
 from .separators import build_collection, enumerate_important
 from .shadows import (
     ShadowReport,
@@ -53,7 +53,6 @@ __all__ = [
     "shadow",
     "is_thin",
     "is_shadowless",
-    "random_set",
     "deterministic_sets",
     "torso",
     "reduce_instance",

@@ -53,10 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", type=int, default=None, help="override the file budget")
     solve.add_argument("--min-budget-search", action="store_true",
                        help="report a solution at the minimum feasible budget")
-    solve.add_argument("--mode", choices=("deterministic", "randomized"),
-                       default="deterministic")
-    solve.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized mode (default: DMWC_SEED or 0)")
     solve.set_defaults(run=_cmd_solve)
 
     seps = sub.add_parser("enumerate-seps", help="list important separators")
@@ -75,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a generated instance file")
     gen.add_argument("--fixture", default=None,
                      help="named fixture, e.g. remark2:r=3,k=2")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=None, help="default: DMWC_SEED or 0")
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--density", type=float, default=0.25)
     gen.add_argument("--k", type=int, default=2)
@@ -108,34 +104,27 @@ def _print_ids(label: str, ids: Sequence[int]) -> None:
     print(" ".join([label, str(len(ids)), *map(str, ids)]))
 
 
-def _solve_file(pf: ProblemFile, budget: int, mode: str, seed: int) -> Solution | None:
+def _solve_file(pf: ProblemFile, budget: int) -> Solution | None:
     if pf.kind == "multicut2":
-        return solve_multicut_k2(pf.graph, list(pf.pairs), budget, mode=mode, seed=seed)
+        return solve_multicut_k2(pf.graph, list(pf.pairs), budget)
     solve = solve_vertex if pf.kind == "vertex" else solve_edge
-    return solve(dataclasses.replace(pf, budget=budget).to_instance(), mode=mode, seed=seed)
+    return solve(dataclasses.replace(pf, budget=budget).to_instance())
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     pf = _read_problem(args.instance)
-    seed = args.seed if args.seed is not None else _env_int("DMWC_SEED", 0)
     budget = args.budget if args.budget is not None else pf.budget
-    if args.min_budget_search and args.mode != "deterministic":
-        # bisection needs feasibility to be monotone in the budget, which a
-        # single randomized pass is not
-        print("error: --min-budget-search requires --mode deterministic", file=sys.stderr)
-        return 2
-    sol = _solve_file(pf, budget, args.mode, seed)
+    sol = _solve_file(pf, budget)
     if sol is None:
         print("NO")
         return 1
     if args.min_budget_search:
-        # deterministic feasibility is monotone in the budget, so bisect
-        # below the hit
+        # feasibility is monotone in the budget, so bisect below the hit
         lo, hi = 0, budget  # hi is known feasible
         best = sol
         while lo < hi:
             mid = (lo + hi) // 2
-            trial = _solve_file(pf, mid, args.mode, seed)
+            trial = _solve_file(pf, mid)
             if trial is None:
                 lo = mid + 1
             else:

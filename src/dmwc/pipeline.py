@@ -1,7 +1,7 @@
 """End-to-end solver for directed multiway cut, plus the edge/vertex and
 two-pair multicut reductions.
 
-The deterministic solver branches over candidate removal sets: an outer
+The solver branches over deterministic candidate removal sets: an outer
 family for the original graph, and for each outer choice an inner family for
 the reversed graph where the chosen vertices have been made undeletable.
 Each combined choice z is removed by the torso reduction: one symmetric graph
@@ -33,8 +33,7 @@ from itertools import permutations
 from typing import Iterable
 
 from .graph import Digraph, Instance, connected_terminal, reachable_from
-from .rng import SplitMix64
-from .sampling import deterministic_sets, random_set
+from .sampling import deterministic_sets
 from .separators import InnerBase
 from .torso import reduce_instance
 from .undirected import solve_undirected
@@ -104,27 +103,21 @@ def _second_stage(inst: Instance, z1: frozenset[int]) -> Instance:
 
 def solve_vertex(
     inst: Instance,
+    *,
     mode: str = "deterministic",
-    seed: int = 0,
 ) -> Solution | None:
     """Feasible vertex multiway cut of size <= budget, or None.
 
-    Deterministic mode branches over both candidate families and is complete.
-    Randomized mode performs a single seeded pass (one draw per stage) and
-    may report None on a yes-instance; it exists for experimentation.
-    Both modes first answer None when a terminal reaches another through
-    undeletable vertices alone, since no cut can meet that path.
+    Branches over both candidate families, so None means no cut exists.  It
+    first answers None when a terminal reaches another through undeletable
+    vertices alone, since no cut can meet that path.  `mode` is kept only for
+    callers that name the mode; "deterministic" is its one value, any other
+    raises ValueError, and a later benchmark change may drop it.
     """
-    if mode not in ("deterministic", "randomized"):
+    if mode != "deterministic":
         raise ValueError(f"unknown mode {mode!r}")
     if connected_terminal(inst.graph, inst.terminals, inst.graph.deletable()) is not None:
         return None
-    if mode == "randomized":
-        stream = SplitMix64(seed)
-        z1 = random_set(inst, stream.next_u64())
-        z2 = random_set(_second_stage(inst, z1), stream.next_u64())
-        return _attempt(inst, z1 | z2)
-
     tried: set[frozenset[int]] = set()
     base = InnerBase()  # filled by the first inner build, read by the others
     for z1 in deterministic_sets(inst):
@@ -140,7 +133,7 @@ def solve_vertex(
 
 
 def solve_edge(
-    inst: Instance, mode: str = "deterministic", seed: int = 0
+    inst: Instance, *, mode: str = "deterministic"
 ) -> Solution | None:
     """Edge multiway cut of size <= budget, as indices into graph.edges.
 
@@ -153,7 +146,7 @@ def solve_edge(
     n = g.vertex_count
     edges = [a for e, (u, v) in enumerate(g.edges) for a in ((u, n + e), (n + e, v))]
     gv = Digraph(n + len(g.edges), edges, range(n))
-    sol = solve_vertex(Instance(gv, inst.terminals, inst.budget), mode=mode, seed=seed)
+    sol = solve_vertex(Instance(gv, inst.terminals, inst.budget), mode=mode)
     if sol is None:
         return None
     cut = tuple(sorted(v - n for v in sol.vertices))
@@ -166,8 +159,8 @@ def solve_multicut_k2(
     g: Digraph,
     pairs: list[tuple[int, int]],
     p: int,
+    *,
     mode: str = "deterministic",
-    seed: int = 0,
 ) -> Solution | None:
     """Two-pair directed multicut via a four-edge gadget: fresh terminals s, t
     with s->s1, t1->t, t->s2, t2->s, so an s_i->t_i path survives exactly when
@@ -180,7 +173,7 @@ def solve_multicut_k2(
     s, t = n, n + 1
     edges = list(g.edges) + [(s, s1), (t1, t), (t, s2), (t2, s)]
     g2 = Digraph(n + 2, edges, g.infinite | {s, t})
-    sol = solve_vertex(Instance(g2, frozenset({s, t}), p), mode=mode, seed=seed)
+    sol = solve_vertex(Instance(g2, frozenset({s, t}), p), mode=mode)
     if sol is None:
         return None
     cut = frozenset(v for v in sol.vertices if v < n)

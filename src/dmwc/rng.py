@@ -3,7 +3,7 @@
 The generator is SplitMix64: state advances by the constant 0x9E3779B97F4A7C15
 and each output is a finalized mix of the new state.  It is trivially
 reimplementable in any language from this description, which keeps seeded
-instance generation and randomized sampling reproducible across ports.
+instance generation reproducible across ports.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""Candidate-set sampling: the randomized draw over exact reverse shadows and
-its deterministic replacement.
+"""Candidate sets: the deterministic family over exact reverse shadows.
 
-Both modes read the same shadows: `build_collection` maps each important
+The family reads the shadows of `build_collection`, which maps each important
 witness-T separator S of size at most p (a collection member) to its witness
 set, and that set is the exact reverse shadow of S: the vertices v for
 which S is an important v-T separator.  Every witness is in the exact
@@ -13,29 +12,18 @@ reach T).  So the flow can be rerouted at S through v's side; the residual
 graph beyond S stays the same, S is still the max-reach minimum cut, and so
 it is important for v.
 
-The randomized draw flips one fair coin per distinct shadow, in canonical
-order, and returns the union of the heads.
-
-The deterministic family only needs, for each cut S of at most p deletable
-vertices, the union of the shadows of the members contained in S.  The
-members inside S are exactly the members inside W, the union of those
-members, and |W| <= |S| <= p.  So walking the unions of members that have at
-most p vertices, rather than every small S, reaches every selection the
-coverage guarantee needs.
+The family only needs, for each cut S of at most p deletable vertices, the
+union of the shadows of the members contained in S.  The members inside S
+are exactly the members inside W, the union of those members, and
+|W| <= |S| <= p.  So walking the unions of members that have at most p
+vertices, rather than every small S, reaches every selection the coverage
+guarantee needs.
 """
 
 from __future__ import annotations
 
 from .graph import Instance
-from .rng import SplitMix64
 from .separators import InnerBase, build_collection, canonical_order
-
-
-def random_set(inst: Instance, seed: int) -> frozenset[int]:
-    """Union of a fair-coin selection of exact reverse shadows."""
-    rng = SplitMix64(seed)
-    shadows = sorted(set(build_collection(inst).values()), key=canonical_order)
-    return frozenset().union(*[z for z in shadows if rng.coin()])
 
 
 def deterministic_sets(

@@ -33,14 +33,6 @@ def test_solve_min_budget_search(two_cycle_file, capsys):
     assert "minimum feasible budget: 2" in captured.err
 
 
-def test_min_budget_search_rejects_randomized_mode(two_cycle_file, capsys):
-    args = ["solve", two_cycle_file, "--min-budget-search", "--mode", "randomized"]
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--min-budget-search" in captured.err
-
-
 def test_failed_verification_is_not_reported_as_no(two_cycle_file, capsys, monkeypatch):
     monkeypatch.setattr("dmwc.pipeline.verify_solution", lambda inst, s: False)
     assert main(["solve", two_cycle_file]) == 4
@@ -88,10 +80,14 @@ def test_solve_stdin(two_cycle_file, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("SOLUTION")
 
 
-def test_solve_randomized_mode_runs(two_cycle_file, capsys):
-    code = main(["solve", two_cycle_file, "--mode", "randomized", "--seed", "1"])
-    assert code in (0, 1)  # single pass may miss; must never crash
-    assert capsys.readouterr().out.strip() in ("SOLUTION 2 2 3", "NO")
+def test_generated_yes_instance_is_solved(tmp_path, capsys):
+    # a YES file: solve must find its cut and never print NO
+    args = ["gen", "--seed", "10", "--n", "16", "--density", "0.156", "--k", "2", "--p", "2"]
+    assert main(args) == 0
+    path = tmp_path / "gen.dmwc"
+    path.write_text(capsys.readouterr().out)
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "SOLUTION 2 7 13"
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):
@@ -273,19 +269,30 @@ def test_input_files_are_closed(two_cycle_file, tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_env_seed_with_flag_override(two_cycle_file, capsys, monkeypatch):
-    monkeypatch.setenv("DMWC_SEED", "3")
-    code = main(["solve", two_cycle_file, "--mode", "randomized"])
-    env_out = capsys.readouterr().out
-    code2 = main(["solve", two_cycle_file, "--mode", "randomized", "--seed", "3"])
-    flag_out = capsys.readouterr().out
-    assert code == code2 and env_out == flag_out
+def test_env_seed_is_gen_default_with_flag_override(two_cycle_file, capsys, monkeypatch):
+    assert main(["gen", "--seed", "5", "--n", "6"]) == 0
+    seed5 = capsys.readouterr().out
+    assert main(["gen", "--seed", "6", "--n", "6"]) == 0
+    seed6 = capsys.readouterr().out
+    assert seed5 != seed6
+    monkeypatch.setenv("DMWC_SEED", "5")
+    assert main(["gen", "--n", "6"]) == 0
+    assert capsys.readouterr().out == seed5
+    assert main(["gen", "--seed", "6", "--n", "6"]) == 0
+    assert capsys.readouterr().out == seed6
     monkeypatch.setenv("DMWC_SEED", "oops")
-    assert main(["solve", two_cycle_file, "--mode", "randomized"]) == 2
+    assert main(["gen", "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    # solve has no seed, so it does not read the variable
+    assert main(["solve", two_cycle_file]) == 0
+    assert capsys.readouterr().out.strip() == "SOLUTION 2 2 3"
 
 
 def test_threads_flag_is_unknown(two_cycle_file, capsys):
-    assert main(["solve", two_cycle_file, "--threads", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --threads 2" in captured.err
+    # neither a thread count nor the sampling mode and its seed are options
+    for flag in (["--threads", "2"], ["--mode", "randomized"], ["--seed", "1"]):
+        assert main(["solve", two_cycle_file, *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err

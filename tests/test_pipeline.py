@@ -96,7 +96,6 @@ def test_solve_path_needs_no_shadow_or_importance_check(monkeypatch):
         inst = generate_instance(seed, 20, 2.5 / 20, 2, 2)
         got = solve_vertex(inst)
         assert (got is None) == (brute_force_mwc(inst) is None), seed
-    assert solve_vertex(two_cycle(2), mode="randomized", seed=1) is not None
     edge = generate_instance(3, 6, 0.3, 2, 1)
     assert (solve_edge(edge) is None) == (brute_edge(edge.graph, edge.terminals, 1) is None)
     mc = random_digraph(4003, 6, 0.25)
@@ -110,8 +109,6 @@ def test_failed_verification_raises(monkeypatch):
     monkeypatch.setattr(pipeline, "verify_solution", lambda inst, s: False)
     with pytest.raises(RuntimeError, match="failed verification"):
         solve_vertex(two_cycle(2))
-    with pytest.raises(RuntimeError, match="failed verification"):
-        solve_vertex(two_cycle(2), mode="randomized", seed=1)
 
 
 def test_failed_reduction_check_raises(monkeypatch):
@@ -169,25 +166,28 @@ def test_terminals_joined_through_undeletable_vertices_are_no_up_front(monkeypat
         raise AssertionError("a candidate family was built")
 
     monkeypatch.setattr(pipeline, "deterministic_sets", unreachable)
-    monkeypatch.setattr(pipeline, "random_set", unreachable)
     for p in (3, 4):
         inst = generate_instance(11, 40, 2.5 / 40, 2, p)
         assert solve_vertex(inst) is None
-        assert solve_vertex(inst, mode="randomized", seed=p) is None
 
 
-def test_randomized_mode_is_sound_and_seed_stable():
+def test_deterministic_is_the_only_mode():
+    # the keyword stays for callers that name the mode; no other value runs
     inst = two_cycle(2)
-    for seed in range(10):
-        sol = solve_vertex(inst, mode="randomized", seed=seed)
-        if sol is not None:
-            assert verify_solution(inst, sol.vertices)
-        again = solve_vertex(inst, mode="randomized", seed=seed)
-        assert (sol is None) == (again is None)
-        if sol is not None:
-            assert sol.vertices == again.vertices
-    with pytest.raises(ValueError):
-        solve_vertex(inst, mode="bogus")
+    edge = Instance(Digraph(3, [(0, 2), (2, 1)], {0, 1}), frozenset({0, 1}), 1)
+    mc = Digraph(4, [(0, 1), (2, 3)])
+    for mode in ("randomized", "bogus"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            solve_vertex(inst, mode=mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            solve_edge(edge, mode=mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            solve_multicut_k2(mc, [(0, 1), (2, 3)], 2, mode=mode)
+    assert solve_vertex(inst, mode="deterministic") == solve_vertex(inst)
+    assert solve_edge(edge, mode="deterministic") == solve_edge(edge)
+    got = solve_multicut_k2(mc, [(0, 1), (2, 3)], 2, mode="deterministic")
+    assert got == solve_multicut_k2(mc, [(0, 1), (2, 3)], 2)
+    assert got is not None
 
 
 def test_reversal_symmetry():

@@ -6,40 +6,9 @@ from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance
 from dmwc.oracle import generate_instance
 from dmwc.pipeline import _second_stage
-from dmwc.rng import SplitMix64
-from dmwc.sampling import deterministic_sets, random_set
-from dmwc.separators import build_collection, canonical_order
+from dmwc.sampling import deterministic_sets
+from dmwc.separators import build_collection
 from dmwc.shadows import is_thin, shadow
-
-
-def test_random_set_trivial_cases():
-    g = Digraph(2, [(0, 1)], {0, 1})
-    inst = Instance(g, frozenset({0, 1}), 2)
-    assert random_set(inst, 0) == frozenset()  # no non-terminal witnesses
-    fx = hub_fan(3, 2)
-    for seed in range(20):
-        z = random_set(fx.instance, seed)
-        assert not z & fx.instance.terminals
-
-
-def test_random_set_replays_one_coin_per_shadow():
-    # the universe is computed from the definition, not from random_set
-    fx = hub_fan(3, 2)
-    g, terms = fx.instance.graph, fx.instance.terminals
-    universe = sorted(
-        {shadow(g, terms, m).exact_reverse for m in build_collection(fx.instance)},
-        key=canonical_order,
-    )
-    assert len(universe) == 6
-    for seed in range(10):
-        rng = SplitMix64(seed)
-        redo = frozenset()
-        for members in universe:
-            if rng.coin():
-                redo |= members
-        assert random_set(fx.instance, seed) == redo
-    # seeds are the only source of variation
-    assert random_set(fx.instance, 4) == random_set(fx.instance, 4)
 
 
 def test_shadow_universe_hub_fan():
@@ -133,8 +102,6 @@ def test_one_collection_build_per_family(monkeypatch):
     family = deterministic_sets(fx.instance)
     assert len(calls) == 1
     assert len(family) > 1
-    random_set(fx.instance, 3)
-    assert len(calls) == 2
 
 
 def _coverage_pairs(inst):
@@ -158,19 +125,6 @@ def test_deterministic_coverage_on_random_instances():
         family = list(deterministic_sets(inst))
         for s, y in _coverage_pairs(inst):
             assert any(not s & z and y <= z for z in family), (seed, s, y)
-
-
-def test_randomized_coverage_has_positive_frequency():
-    fx = hub_fan(3, 2, budget=1)
-    inst = fx.instance
-    s, y = frozenset({fx.a(1)}), frozenset({fx.b(1)})
-    trials = 4 * 2 ** (2**1 + 1 * 4**1)  # ample at this scale
-    hits = sum(
-        1
-        for seed in range(trials)
-        if not s & random_set(inst, seed) and y <= random_set(inst, seed)
-    )
-    assert hits > 0
 
 
 def test_exact_shadows_in_universe_match_direct_computation():
