@@ -21,6 +21,12 @@ of the collection members inside its W, so it contains the shadow of the
 empty member whenever there is one.  A z1 that does not contain z1_0 would
 be a solver bug and raises RuntimeError.
 
+Before any family is built, the solver answers NO when some terminal t has
+no t-(T - t) vertex separator within the budget, since every multiway cut is
+one.  By Menger's theorem, budget + 1 internally vertex-disjoint t-(T - t)
+paths certify that NO; a t-(T - t) path through undeletable vertices alone is
+the case where no separator exists at all.
+
 Every answer is re-checked on the input instance before it is returned.  A
 failed check can only be a solver bug, so it raises RuntimeError rather than
 being reported as no solution.
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable
 
-from .graph import Digraph, Instance, connected_terminal, reachable_from
+from .graph import Digraph, Instance, min_vertex_separator, reachable_from
 from .sampling import deterministic_sets
 from .separators import InnerBase
 from .torso import reduce_instance
@@ -93,31 +99,26 @@ def _attempt(inst: Instance, z: frozenset[int]) -> Solution | None:
 
 
 def _second_stage(inst: Instance, z1: frozenset[int]) -> Instance:
-    g2 = Digraph(
-        inst.graph.vertex_count,
-        [(v, u) for u, v in inst.graph.edges],
-        inst.graph.infinite | z1,
-    )
+    g = inst.graph
+    g2 = Digraph(g.vertex_count, [(v, u) for u, v in g.edges], g.infinite | z1)
     return Instance(g2, inst.terminals, inst.budget)
 
 
-def solve_vertex(
-    inst: Instance,
-    *,
-    mode: str = "deterministic",
-) -> Solution | None:
+def solve_vertex(inst: Instance, *, mode: str = "deterministic") -> Solution | None:
     """Feasible vertex multiway cut of size <= budget, or None.
 
     Branches over both candidate families, so None means no cut exists.  It
-    first answers None when a terminal reaches another through undeletable
-    vertices alone, since no cut can meet that path.  `mode` is kept only for
-    callers that name the mode; "deterministic" is its one value, any other
-    raises ValueError, and a later benchmark change may drop it.
+    first answers None when a terminal t has no t-(T - t) separator of size
+    at most budget (Menger: budget + 1 internally vertex-disjoint t-(T - t)
+    paths), which covers t reaching T - t through undeletable vertices alone.
+    `mode` stays for callers that name it; any value but "deterministic" raises.
     """
     if mode != "deterministic":
         raise ValueError(f"unknown mode {mode!r}")
-    if connected_terminal(inst.graph, inst.terminals, inst.graph.deletable()) is not None:
-        return None
+    for t in sorted(inst.terminals) if len(inst.terminals) > 1 else ():
+        cut = min_vertex_separator(inst.graph, {t}, inst.terminals - {t})
+        if cut is None or len(cut) > inst.budget:
+            return None
     tried: set[frozenset[int]] = set()
     base = InnerBase()  # filled by the first inner build, read by the others
     for z1 in deterministic_sets(inst):
@@ -132,9 +133,7 @@ def solve_vertex(
     return None
 
 
-def solve_edge(
-    inst: Instance, *, mode: str = "deterministic"
-) -> Solution | None:
+def solve_edge(inst: Instance, *, mode: str = "deterministic") -> Solution | None:
     """Edge multiway cut of size <= budget, as indices into graph.edges.
 
     Reduces to the vertex problem by subdivision: edge e = (u, v) becomes the

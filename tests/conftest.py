@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from dmwc.graph import Digraph, reachable_from
+from dmwc.graph import Digraph, min_vertex_separator, reachable_from
 from dmwc.oracle import generate_instance
 from dmwc.rng import SplitMix64
 
@@ -55,6 +55,22 @@ def small_instances(count, seed0=0, max_n=9, max_p=2):
         inf_frac = 0.0 if i % 3 else 0.15
         out.append(generate_instance(seed0 + i, n, density, min(k, n), p, inf_frac))
     return out
+
+
+def terminal_lambdas(inst):
+    """lambda_t for each terminal t in sorted order: the size of a minimum
+    t-(T - t) vertex separator, or None when a t-(T - t) path runs through
+    undeletable vertices alone.  Empty for a single terminal."""
+    ts = inst.terminals
+    if len(ts) == 1:
+        return []
+    cuts = [min_vertex_separator(inst.graph, {t}, ts - {t}) for t in sorted(ts)]
+    return [None if c is None else len(c) for c in cuts]
+
+
+def bound_decides(inst):
+    """Menger's bound answers NO: some lambda_t is None or above the budget."""
+    return any(lam is None or lam > inst.budget for lam in terminal_lambdas(inst))
 
 
 def subsets_upto(pool, size):

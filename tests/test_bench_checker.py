@@ -6,27 +6,31 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from conftest import bound_decides
 from dmwc.fileformat import ProblemFile, from_instance, serialize
-from dmwc.graph import Digraph, connected_terminal
+from dmwc.graph import Digraph
 from dmwc.oracle import generate_instance
 from dmwc.pipeline import solve_edge, solve_multicut_k2, solve_vertex
 
 CHECK = Path(__file__).resolve().parent.parent / "bench" / "check.py"
 
 # generate_instance(s, n, 2.5/n, 2, p) for n = 30 + 5s mod 11 and p = 2 + s mod 2;
-# seeds 2, 4, 5, 6, 8, 16, 19 and 23 are NO too but take 0.25-1.6 s each to
-# solve, so they are left out to keep this test near half a second
-SEEDS = (0, 1, 3, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22)
-# the same shapes with a fifth of the other vertices undeletable; seeds 5, 8,
-# 15, 16, 17, 19 and 23 are NO too but take 0.2-0.7 s each to solve
-UNDELETABLE_SEEDS = (0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 13, 14, 18, 20, 21, 22)
+# Menger's bound decides seeds 0, 2, 4, 8, 14 and 18-21, and seed 6 is the walked
+# NO kept; walked NOs 5, 16 and 23 take 0.1-0.3 s each, so they are left out
+SEEDS = (0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22)
+# the same shapes with a fifth of the other vertices undeletable; seeds 5, 15,
+# 16 and 23 are walked NOs too but take 0.1-0.35 s each to solve
+UNDELETABLE_SEEDS = (
+    0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22
+)
 # reference size, generate_instance(s, n, 2.5/n, 2, 2) for n = 45 + 5s mod 16:
-# seeds 0, 2, 5, 18, 19 and 20 are walked NOs that solve in 0.2-0.45 s each;
-# seeds 3, 8 and 9 are NO too but take 0.7-2.0 s, and seed 15 is YES in 0.3 s
-REFERENCE_SEEDS = (0, 1, 2, 4, 5, 6, 7, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20)
-# edge files at n = 14 + s mod 7: seeds 1, 4, 5, 6, 9, 10, 13, 15, 16, 17, 19,
-# 20 and 21 are NO too but take 0.03-0.4 s each to solve
-REFERENCE_EDGE_SEEDS = (0, 2, 3, 7, 8, 11, 12, 14, 18, 22, 23)
+# seeds 0, 2, 18 and 20 are walked NOs that solve in 0.2-0.35 s each; seeds
+# 3, 5, 8, 9 and 19 are NOs decided by the bound (lambda = [3, 1], [1, 3],
+# [4, 3], [3, 1] and [3, 0]), and seed 15 is YES in 0.2 s
+REFERENCE_SEEDS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20)
+# edge files at n = 14 + s mod 7: Menger's bound decides most NOs, and no seed
+# takes more than 0.04 s to solve
+REFERENCE_EDGE_SEEDS = range(24)
 
 
 def _load_checker():
@@ -53,23 +57,22 @@ def _vertex_answers(seeds, infinite_fraction, shape=_corpus_shape):
         answer = None if sol is None else tuple(sorted(sol.vertices))
         prob = check.read_problem(serialize(from_instance(inst)))
         assert check.check_answer(prob, answer) is None, s
-        g = inst.graph
-        joined = connected_terminal(g, inst.terminals, g.deletable()) is not None
-        kinds.add("yes" if sol is not None else "joined no" if joined else "no")
+        bound = bound_decides(inst)
+        kinds.add("yes" if sol is not None else "bound no" if bound else "walked no")
     return kinds
 
 
 def test_checker_accepts_every_answer():
-    assert _vertex_answers(SEEDS, 0.0) == {"yes", "no", "joined no"}
+    assert _vertex_answers(SEEDS, 0.0) == {"yes", "walked no", "bound no"}
 
 
 def test_checker_accepts_answers_with_undeletable_vertices():
-    assert _vertex_answers(UNDELETABLE_SEEDS, 0.2) == {"yes", "no", "joined no"}
+    assert _vertex_answers(UNDELETABLE_SEEDS, 0.2) == {"yes", "walked no", "bound no"}
 
 
 def test_checker_accepts_answers_at_reference_size():
     kinds = _vertex_answers(REFERENCE_SEEDS, 0.0, lambda s: (45 + (s * 5) % 16, 2))
-    assert kinds == {"yes", "no", "joined no"}
+    assert kinds == {"yes", "walked no", "bound no"}
 
 
 def test_checker_accepts_edge_answers():

@@ -4,14 +4,16 @@ import sys
 import pytest
 
 from conftest import (
+    bound_decides,
     brute_edge,
     brute_multicut,
     random_digraph,
     small_instances,
+    terminal_lambdas,
     with_loops_and_repeats,
 )
 from dmwc.fixtures import hub_fan, two_cycle
-from dmwc.graph import Digraph, Instance, connected_terminal, reachable_from, reverse
+from dmwc.graph import Digraph, Instance, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
 from dmwc.pipeline import (
     solve_edge,
@@ -21,6 +23,22 @@ from dmwc.pipeline import (
     verify_multicut,
     verify_solution,
 )
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Arguments of every candidate family the solver builds, in order."""
+    from dmwc import pipeline
+
+    calls = []
+    real = pipeline.deterministic_sets
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "deterministic_sets", counting)
+    return calls
 
 
 def test_verify_solution():
@@ -138,14 +156,13 @@ def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_attempt", recording)
     answers = set()
-    for inst in small_instances(30, seed0=300):
+    for inst in small_instances(60, seed0=300):  # instance 52 is a walked NO
         attempted.clear()
         got = solve_vertex(inst)
-        g = inst.graph
-        if connected_terminal(g, inst.terminals, g.deletable()) is not None:
-            # terminals joined through undeletable vertices: NO up front
+        if bound_decides(inst):
+            # some lambda_t is None or above the budget: NO up front
             assert got is None and attempted == []
-            answers.add("joined")
+            answers.add("bound")
             continue
         answers.add(got is None)
         order = list(dict.fromkeys(
@@ -155,7 +172,7 @@ def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
         ))
         # a NO tries every distinct choice; a YES stops at the one that solved
         assert attempted == (order if got is None else order[:len(attempted)])
-    assert answers == {"joined", True, False}
+    assert answers == {"bound", True, False}
 
 
 def test_terminals_joined_through_undeletable_vertices_are_no_up_front(monkeypatch):
@@ -169,6 +186,38 @@ def test_terminals_joined_through_undeletable_vertices_are_no_up_front(monkeypat
     for p in (3, 4):
         inst = generate_instance(11, 40, 2.5 / 40, 2, p)
         assert solve_vertex(inst) is None
+
+
+def test_lambda_above_budget_is_no_up_front(monkeypatch):
+    # every multiway cut separates t from T - t, so lambda_t > p is a NO
+    from dmwc import pipeline
+
+    def unreachable(*args):
+        raise AssertionError("a candidate family was built")
+
+    monkeypatch.setattr(pipeline, "deterministic_sets", unreachable)
+    inst = generate_instance(18, 40, 2.5 / 40, 2, 3)
+    assert terminal_lambdas(inst) == [1, 4]
+    assert solve_vertex(inst) is None
+    # the subdivided graph's lambda_t is the minimum t-(T - t) edge cut
+    edge = generate_instance(0, 8, 2.5 / 8, 2, 1)
+    assert brute_edge(edge.graph, edge.terminals, 1) is None
+    assert solve_edge(edge) is None
+    # undeletable endpoints 0 and 1 with two disjoint paths between them: the
+    # gadget's source reaches 0, and lambda = 2 > 1
+    mc = Digraph(6, [(0, 4), (4, 1), (0, 5), (5, 1)], {0, 1})
+    assert brute_multicut(mc, [(0, 1), (2, 3)], 1) is None
+    assert solve_multicut_k2(mc, [(0, 1), (2, 3)], 1) is None
+
+
+def test_walked_no_and_single_terminal_still_run_the_families(built):
+    inst = generate_instance(0, 45, 2.5 / 45, 2, 2)
+    assert terminal_lambdas(inst) == [2, 2]  # every lambda_t <= p
+    assert solve_vertex(inst) is None and built
+    # one terminal: no t-(T - t) flow to run, and nothing to cut
+    lone = Instance(Digraph(3, [(0, 1), (1, 2)], {0}), {0}, 0)
+    assert terminal_lambdas(lone) == []
+    assert solve_vertex(lone).vertices == frozenset()
 
 
 def test_deterministic_is_the_only_mode():
@@ -256,38 +305,37 @@ def test_multicut_agrees_with_brute_force():
         assert (got is None) == (want is None), i
 
 
-def test_loops_and_repeated_edges_keep_every_answer():
+def test_loops_and_repeated_edges_keep_every_answer(built):
     # self-loops and parallel edges are legal in every file kind; each kind
-    # must still agree with its brute force, on YES and on walked NO answers
-    def answer(got, joined):
-        return "yes" if got is not None else "joined no" if joined else "no"
+    # must still agree with its brute force, on YES, on NO by Menger's bound
+    # and on NO after walking the candidate families
+    def answer(got):
+        return "yes" if got is not None else "walked no" if built else "bound no"
 
     vertex = set()
     for inst in small_instances(80, seed0=300, max_n=9, max_p=2):
         g = with_loops_and_repeats(inst.graph)
         inst = Instance(g, inst.terminals, inst.budget)
+        built.clear()
         got = solve_vertex(inst)
         assert (got is None) == (brute_force_mwc(inst) is None), inst
-        joined = connected_terminal(g, inst.terminals, g.deletable()) is not None
-        vertex.add(answer(got, joined))
+        assert (not built) == bound_decides(inst), inst  # the rule, and only it
+        vertex.add(answer(got))
     edge = set()
     for inst in small_instances(80, seed0=700, max_n=7, max_p=2):
         g = with_loops_and_repeats(inst.graph)
+        built.clear()
         got = solve_edge(Instance(g, inst.terminals, inst.budget))
         assert (got is None) == (brute_edge(g, inst.terminals, inst.budget) is None), inst
-        edge.add(answer(got, False))  # every path crosses a cuttable edge
+        edge.add(answer(got))
     multicut = set()
     for i in range(80):
         g = with_loops_and_repeats(
             random_digraph(9500 + i, 4 + i % 5, 0.25, 0.1 if i % 4 == 0 else 0.0)
         )
         pairs, p = [(0, 1), (2, 3)], i % 3
+        built.clear()
         got = solve_multicut_k2(g, pairs, p)
         assert (got is None) == (brute_multicut(g, pairs, p) is None), i
-        joined = any(
-            {a, b} <= g.infinite and b in reachable_from(g, {a}, g.deletable())
-            for a, b in pairs
-        )
-        multicut.add(answer(got, joined))
-    assert vertex == {"yes", "no", "joined no"}
-    assert edge == multicut == {"yes", "no"}
+        multicut.add(answer(got))
+    assert vertex == edge == multicut == {"yes", "walked no", "bound no"}
