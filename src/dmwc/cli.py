@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from typing import Sequence
 
@@ -32,16 +31,6 @@ from .pipeline import (
 )
 from .separators import enumerate_important
 from .shadows import shadow
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a generated instance file")
     gen.add_argument("--fixture", default=None,
                      help="named fixture, e.g. remark2:r=3,k=2")
-    gen.add_argument("--seed", type=int, default=None, help="default: DMWC_SEED or 0")
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--density", type=float, default=0.25)
     gen.add_argument("--k", type=int, default=2)
@@ -93,11 +82,19 @@ def _read_problem(path: str) -> ProblemFile:
         return parse(f.read())
 
 
-def _parse_ids(raw: str) -> frozenset[int]:
-    raw = raw.strip()
-    if not raw:
-        return frozenset()
-    return frozenset(int(tok) for tok in raw.replace(",", " ").split())
+def _ids(tokens: list[str], where: str) -> list[int]:
+    """The integer ids in `tokens`; an error names `where` and the bad token."""
+    ids = []
+    for tok in tokens:
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{where}: {tok!r} is not an integer id") from None
+    return ids
+
+
+def _parse_ids(raw: str, option: str) -> frozenset[int]:
+    return frozenset(_ids(raw.replace(",", " ").split(), option))
 
 
 def _print_ids(label: str, ids: Sequence[int]) -> None:
@@ -137,8 +134,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     pf = _read_problem(args.instance)
-    source = _parse_ids(args.source)
-    target = _parse_ids(args.target)
+    source = _parse_ids(args.source, "--source")
+    target = _parse_ids(args.target, "--target")
     for sep in enumerate_important(pf.graph, source, target, args.budget):
         _print_ids("SEP", sorted(sep))
     return 0
@@ -146,7 +143,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_shadow(args: argparse.Namespace) -> int:
     pf = _read_problem(args.instance)
-    s = _parse_ids(args.vertex_set)
+    s = _parse_ids(args.vertex_set, "--set")
     inst = pf.to_instance()
     report = shadow(inst.graph, inst.terminals, s)
     for label, vs in (
@@ -166,9 +163,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.n > MAX_VERTICES:  # parse would reject the file anyway
             print(f"error: --n {args.n} exceeds the limit {MAX_VERTICES}", file=sys.stderr)
             return 2
-        seed = args.seed if args.seed is not None else _env_int("DMWC_SEED", 0)
         inst = generate_instance(
-            seed, args.n, args.density, args.k, args.p, args.infinite_fraction
+            args.seed, args.n, args.density, args.k, args.p, args.infinite_fraction
         )
     sys.stdout.write(serialize(from_instance(inst)))
     return 0
@@ -181,7 +177,7 @@ def _read_solution_ids(path: str) -> list[int]:
         count, tokens = tokens[1:2], tokens[2:]
         if not count or not count[0].isdecimal() or int(count[0]) != len(tokens):
             raise ValueError(f"SOLUTION line must give the count of its {len(tokens)} id(s)")
-    return [int(t) for t in tokens]
+    return _ids(tokens, f"solution file {path}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -75,7 +75,10 @@ def named_fixture(name: str) -> Instance:
             key, _, value = part.partition("=")
             if not value:
                 raise ValueError(f"malformed fixture parameter {part!r}")
-            params[key.strip()] = int(value)
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"repeated fixture parameter {key!r}")
+            params[key] = int(value)
     if head == "remark2":
         inst = hub_fan(
             r=params.pop("r", 3), k=params.pop("k", 2), budget=params.pop("p", 2)

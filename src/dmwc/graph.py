@@ -18,11 +18,14 @@ from typing import Iterable
 
 
 class Digraph:
-    """Immutable directed multigraph with a set of undeletable vertices.  `edges`
-    keeps input order; each adjacency tuple lists a neighbour once, in first-edge
-    order, which is not part of the contract: no result depends on it."""
+    """Immutable directed multigraph with a set of undeletable vertices, read
+    through plain attributes.  `edges` keeps input order.  `succ[v]` and
+    `pred[v]` are tuples of v's out- and in-neighbours; each lists a neighbour
+    once, in first-edge order, which is not part of the contract: no result
+    depends on it.  `deletable` is the frozenset of vertices outside
+    `infinite`, the only vertices a cut may hold."""
 
-    __slots__ = ("vertex_count", "edges", "infinite", "_succ", "_pred")
+    __slots__ = ("vertex_count", "edges", "infinite", "succ", "pred", "deletable")
 
     def __init__(
         self,
@@ -45,20 +48,12 @@ class Digraph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             succ[u][v] = None
             pred[v][u] = None
-        self._succ = tuple(map(tuple, succ))
-        self._pred = tuple(map(tuple, pred))
-
-    def successors(self, v: int) -> tuple[int, ...]:
-        return self._succ[v]
-
-    def predecessors(self, v: int) -> tuple[int, ...]:
-        return self._pred[v]
+        self.succ = tuple(map(tuple, succ))
+        self.pred = tuple(map(tuple, pred))
+        self.deletable = frozenset(range(vertex_count)) - self.infinite
 
     def vertices(self) -> range:
         return range(self.vertex_count)
-
-    def deletable(self) -> frozenset[int]:
-        return frozenset(self.vertices()) - self.infinite
 
     def _key(self):
         return (self.vertex_count, tuple(sorted(self.edges)), self.infinite)
@@ -122,11 +117,12 @@ def reachable_from(
 
 def _reach(g: Digraph, src: frozenset[int], gone: frozenset[int]) -> frozenset[int]:
     """`reachable_from` without its checks: the caller has already checked the ids."""
+    succ = g.succ
     seen = set(src)
     queue = deque(src)
     while queue:
         u = queue.popleft()
-        for w in g.successors(u):
+        for w in succ[u]:
             if w not in seen and w not in gone:
                 seen.add(w)
                 queue.append(w)
@@ -184,11 +180,11 @@ def min_vertex_separator(
         raise ValueError("x and y must be non-empty")
     if xs & ys or gone & (xs | ys):
         raise ValueError("x, y and removed must be pairwise disjoint")
-    cuttable = g.deletable() - xs - ys - gone
+    cuttable = g.deletable - xs - ys - gone
     if _reach(g, xs, cuttable | gone) & ys:
         return None
 
-    succ, pred = g._succ, g._pred
+    succ, pred = g.succ, g.pred
     through = [0] * g.vertex_count
     arc: dict[tuple[int, int], int] = {}
     value = 0

@@ -26,7 +26,7 @@ def brute_force_mwc(inst: Instance) -> frozenset[int] | None:
     g = inst.graph
     if g.vertex_count > DEFAULT_CAP:
         raise ValueError(f"brute force capped at {DEFAULT_CAP} vertices")
-    pool = sorted(g.deletable() - inst.terminals)
+    pool = sorted(g.deletable)
     for size in range(min(inst.budget, len(pool)) + 1):
         for combo in combinations(pool, size):
             s = frozenset(combo)
@@ -47,7 +47,7 @@ def brute_force_important(
     if g.vertex_count > DEFAULT_CAP:
         raise ValueError(f"brute force capped at {DEFAULT_CAP} vertices")
     xs, ys = frozenset(x), frozenset(y)
-    pool = sorted(g.deletable() - xs - ys)
+    pool = sorted(g.deletable - xs - ys)
     seps: list[tuple[frozenset[int], frozenset[int]]] = []
     for size in range(min(p, len(pool)) + 1):
         for combo in combinations(pool, size):

@@ -55,8 +55,8 @@ class Solution:
 
 
 def verify_solution(inst: Instance, s: Iterable[int]) -> bool:
-    """s is a multicut of every ordered terminal pair: disjoint from the
-    distinguished vertices, within budget, and no terminal reaches another."""
+    """s is a multicut of every ordered terminal pair: deletable vertices
+    only, within budget, and no terminal reaches another."""
     return verify_multicut(inst.graph, permutations(inst.terminals, 2), inst.budget, s)
 
 
@@ -76,12 +76,10 @@ def verify_edge_cut(inst: Instance, edges: Iterable[int]) -> bool:
 def verify_multicut(
     g: Digraph, pairs: Iterable[tuple[int, int]], budget: int, s: Iterable[int]
 ) -> bool:
-    """s is disjoint from the distinguished vertices, within budget, and each
-    pair (a, b) has a or b in s or no a-b path avoiding s."""
+    """s holds deletable vertices of g only, is within budget, and each pair
+    (a, b) has a or b in s or no a-b path avoiding s."""
     cut = frozenset(s)
-    if cut & g.infinite or len(cut) > budget:
-        return False
-    if not cut <= frozenset(g.vertices()):
+    if not cut <= g.deletable or len(cut) > budget:
         return False
     return all(
         a in cut or b in cut or b not in reachable_from(g, {a}, cut)

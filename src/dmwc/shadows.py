@@ -22,7 +22,7 @@ def out_neighborhood(g: Digraph, a: Iterable[int]) -> frozenset[int]:
     aset = _check_ids(g, a)
     out: set[int] = set()
     for u in aset:
-        out.update(g.successors(u))
+        out.update(g.succ[u])
     return frozenset(out - aset)
 
 

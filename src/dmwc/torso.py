@@ -17,13 +17,14 @@ def torso(g: Digraph, c: Iterable[int]) -> set[tuple[int, int]]:
     never needs either).
     """
     kept = _check_ids(g, c)
+    succ = g.succ
     arcs: set[tuple[int, int]] = set()
     for a in kept:
         # one search from a that only passes through vertices outside c
         seen = {a}
         stack = [a]
         while stack:
-            for w in g.successors(stack.pop()):
+            for w in succ[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     if w in kept:

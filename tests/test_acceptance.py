@@ -146,7 +146,7 @@ def test_criterion_06_deterministic_sampling_coverage(capsys):
         g = inst.graph
         collection = build_collection(inst)
         family = list(deterministic_sets(inst))
-        pool = sorted(g.deletable() - inst.terminals)
+        pool = sorted(g.deletable - inst.terminals)
         for s in subsets_upto(pool, inst.budget):
             if not is_thin(g, inst.terminals, s):
                 continue
@@ -189,7 +189,7 @@ def test_criterion_09_minimal_solutions_are_thin(capsys):
     ok = True
     for inst in _solver_corpus()[:150]:
         g = inst.graph
-        pool = sorted(g.deletable() - inst.terminals)
+        pool = sorted(g.deletable - inst.terminals)
         feasible = [
             s
             for s in subsets_upto(pool, inst.budget)

@@ -15,14 +15,13 @@ from dmwc.pipeline import solve_edge, solve_multicut_k2, solve_vertex
 CHECK = Path(__file__).resolve().parent.parent / "bench" / "check.py"
 
 # generate_instance(s, n, 2.5/n, 2, p) for n = 30 + 5s mod 11 and p = 2 + s mod 2;
-# Menger's bound decides seeds 0, 2, 4, 8, 14 and 18-21, and seed 6 is the walked
-# NO kept; walked NOs 5, 16 and 23 take 0.1-0.3 s each, so they are left out
-SEEDS = (0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22)
-# the same shapes with a fifth of the other vertices undeletable; seeds 5, 15,
-# 16 and 23 are walked NOs too but take 0.1-0.35 s each to solve
-UNDELETABLE_SEEDS = (
-    0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22
-)
+# Menger's bound decides seeds 0, 2, 4, 8, 14 and 18-21, and seeds 5, 6, 16 and
+# 23 are walked NOs that take 0.06-0.2 s each
+SEEDS = tuple(range(24))
+# the same shapes with a fifth of the other vertices undeletable: the bound
+# decides seeds 0, 2, 4, 8, 14 and 17-21, and seeds 5, 6, 15, 16 and 23 are
+# walked NOs that take 0.02-0.21 s each
+UNDELETABLE_SEEDS = tuple(range(24))
 # reference size, generate_instance(s, n, 2.5/n, 2, 2) for n = 45 + 5s mod 16:
 # seeds 0, 2, 18 and 20 are walked NOs that solve in 0.2-0.35 s each; seeds
 # 3, 5, 8, 9 and 19 are NOs decided by the bound (lambda = [3, 1], [1, 3],
@@ -103,13 +102,13 @@ def test_checker_accepts_edge_answers_at_reference_size():
     assert kinds == {"yes", "no"}
 
 
-def test_checker_accepts_multicut2_answers():
+def _multicut2_answers(shape):
     # built as the reductions corpus builds them: the generator's four
     # terminals, sorted, make the two pairs, and no vertex is undeletable
     check = _load_checker()
     kinds = set()
     for s in range(20):
-        n, p = 12 + (s * 3) % 9, 1 + s % 2
+        n, p = shape(s)
         inst = generate_instance(s, n, 2.5 / n, 4, p)
         a, b, c, d = sorted(inst.terminals)
         g = Digraph(n, inst.graph.edges)
@@ -118,4 +117,13 @@ def test_checker_accepts_multicut2_answers():
         pf = ProblemFile("multicut2", g, p, pairs=((a, b), (c, d)))
         assert check.check_answer(check.read_problem(serialize(pf)), answer) is None, s
         kinds.add("no" if sol is None else "yes")
-    assert kinds == {"yes", "no"}
+    return kinds
+
+
+def test_checker_accepts_multicut2_answers():
+    assert _multicut2_answers(lambda s: (12 + (s * 3) % 9, 1 + s % 2)) == {"yes", "no"}
+
+
+def test_checker_accepts_multicut2_answers_above_brute_force_size():
+    # n = 21..30; the walk decides all 7 NOs (seeds 2, 6, 8, 10, 14, 16 and 18)
+    assert _multicut2_answers(lambda s: (21 + (s * 3) % 10, 1 + s % 2)) == {"yes", "no"}

@@ -1,5 +1,4 @@
 import gc
-import os
 import warnings
 
 import pytest
@@ -269,24 +268,45 @@ def test_input_files_are_closed(two_cycle_file, tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_env_seed_is_gen_default_with_flag_override(two_cycle_file, capsys, monkeypatch):
+def test_gen_seed_defaults_to_zero_without_reading_the_environment(capsys, monkeypatch):
+    assert main(["gen", "--seed", "0", "--n", "6"]) == 0
+    seed0 = capsys.readouterr().out
     assert main(["gen", "--seed", "5", "--n", "6"]) == 0
-    seed5 = capsys.readouterr().out
-    assert main(["gen", "--seed", "6", "--n", "6"]) == 0
-    seed6 = capsys.readouterr().out
-    assert seed5 != seed6
+    assert capsys.readouterr().out != seed0
     monkeypatch.setenv("DMWC_SEED", "5")
     assert main(["gen", "--n", "6"]) == 0
-    assert capsys.readouterr().out == seed5
-    assert main(["gen", "--seed", "6", "--n", "6"]) == 0
-    assert capsys.readouterr().out == seed6
-    monkeypatch.setenv("DMWC_SEED", "oops")
-    assert main(["gen", "--n", "6"]) == 2
+    assert capsys.readouterr().out == seed0
+
+
+def test_gen_rejects_a_repeated_fixture_parameter(capsys):
+    assert main(["gen", "--fixture", "twocycle:p=1,p=3"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
-    # solve has no seed, so it does not read the variable
-    assert main(["solve", two_cycle_file]) == 0
-    assert capsys.readouterr().out.strip() == "SOLUTION 2 2 3"
+    assert captured.out == ""
+    assert captured.err == "error: repeated fixture parameter 'p'\n"
+
+
+def test_bad_ids_name_their_option_or_file(tmp_path, capsys):
+    fx = hub_fan(3, 2)
+    path = tmp_path / "hub.dmwc"
+    path.write_text(serialize(from_instance(fx.instance)))
+    seps = ["enumerate-seps", str(path), "--budget", "2"]
+    for argv, where in (
+        (seps + ["--source", "4,x", "--target", "0"], "--source"),
+        (seps + ["--source", "4", "--target", "0 1.5"], "--target"),
+        (["shadow", str(path), "--set", "3,,y"], "--set"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = argv[argv.index(where) + 1].replace(",", " ").split()[-1]
+        assert captured.err == f"error: {where}: {bad!r} is not an integer id\n"
+    sol = tmp_path / "answer.txt"
+    for text, bad in (("SOLUTION 2 3 z\n", "z"), ("3 0x4\n", "0x4")):
+        sol.write_text(text)
+        assert main(["verify", str(path), "--solution", str(sol)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: solution file {sol}: {bad!r} is not an integer id\n"
 
 
 def test_threads_flag_is_unknown(two_cycle_file, capsys):

@@ -164,7 +164,7 @@ def _check_min_separator(g, xs, ys, gone=frozenset()):
     """Compare min_vertex_separator with an exhaustive search over the
     separators of g minus `gone`; return lambda, or None when only
     undeletable vertices could separate."""
-    pool = sorted(g.deletable() - xs - ys - gone)
+    pool = sorted(g.deletable - xs - ys - gone)
     for size in range(len(pool) + 1):
         best = [
             frozenset(c)
@@ -243,7 +243,7 @@ def test_min_separator_value_matches_networkx():
         ys = frozenset({n - 1, n - 2 - seed % 3})
         rng = SplitMix64(seed + 900)
         gone = frozenset(v for v in range(n) if v not in xs | ys and rng.below(8) == 0)
-        cuttable = g.deletable() - xs - ys - gone
+        cuttable = g.deletable - xs - ys - gone
         # networkx rejects paths of unbounded capacity, so n + 1 stands in
         # for infinity: it exceeds every finite separator
         big = n + 1

@@ -48,7 +48,7 @@ def _shuffle(inst, seed):
 
 
 def _adjacency(g):
-    return [g.successors(v) for v in g.vertices()]
+    return list(g.succ)
 
 
 def test_answers_survive_edge_permutation():

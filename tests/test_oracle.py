@@ -84,3 +84,7 @@ def test_named_fixtures():
         named_fixture("twocycle:q=1")
     with pytest.raises(ValueError):
         named_fixture("twocycle:p")
+    # a repeated parameter is an error, not a silent last-one-wins
+    for name in ("twocycle:p=1,p=3", "remark2:r=3, r=3"):
+        with pytest.raises(ValueError, match="repeated fixture parameter"):
+            named_fixture(name)

@@ -64,7 +64,7 @@ def _reference_family(inst):
     g = inst.graph
     members = list(build_collection(inst))
     shadows = [shadow(g, inst.terminals, m).exact_reverse for m in members]
-    deletable = sorted(g.deletable() - inst.terminals)
+    deletable = sorted(g.deletable - inst.terminals)
     candidates, seen = [], set()
     for size in range(min(inst.budget, len(deletable)) + 1):
         for w in combinations(deletable, size):
@@ -108,7 +108,7 @@ def _coverage_pairs(inst):
     """Brute-force (thin S, Y) pairs the family must cover."""
     g = inst.graph
     coll = build_collection(inst)
-    pool = sorted(g.deletable() - inst.terminals)
+    pool = sorted(g.deletable - inst.terminals)
     for s in subsets_upto(pool, inst.budget):
         if not is_thin(g, inst.terminals, s):
             continue

@@ -141,7 +141,7 @@ def test_minimal_solutions_are_thin():
     for seed in range(40):
         g = Digraph(7, random_digraph(seed, 7, 0.3).edges, {0, 1})
         inst = Instance(g, frozenset({0, 1}), 3)
-        pool = sorted(g.deletable() - inst.terminals)
+        pool = sorted(g.deletable - inst.terminals)
         feasible = [
             s
             for s in subsets_upto(pool, 3)

@@ -137,7 +137,7 @@ def test_reduce_instance_matches_definition():
         }
         assert set(red.graph.edges) == expect, seed
         assert len(red.graph.edges) == len(expect)  # one arc per direction
-        assert all(not red.graph.successors(v) and not red.graph.predecessors(v) for v in z)
+        assert all(not red.graph.succ[v] and not red.graph.pred[v] for v in z)
         assert red.graph.vertex_count == g.vertex_count
         assert red.graph.infinite == g.infinite
         assert red.terminals == inst.terminals and red.budget == inst.budget
