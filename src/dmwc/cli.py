@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from .fileformat import (
-    MAX_VERTICES, ProblemFile, from_instance, parse, serialize,
+    MAX_VERTICES, ProblemFile, _integer, from_instance, parse, serialize,
 )
 from .fixtures import named_fixture
 from .oracle import generate_instance
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("instance", help="instance file, or - for stdin")
-    solve.add_argument("--budget", type=int, default=None, help="override the file budget")
+    solve.add_argument("--budget", type=_integer, default=None, help="override the file budget")
     solve.add_argument("--min-budget-search", action="store_true",
                        help="report a solution at the minimum feasible budget")
     solve.set_defaults(run=_cmd_solve)
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seps.add_argument("instance")
     seps.add_argument("--source", required=True, help="comma-separated vertex ids")
     seps.add_argument("--target", required=True, help="comma-separated vertex ids")
-    seps.add_argument("--budget", type=int, required=True)
+    seps.add_argument("--budget", type=_integer, required=True)
     seps.set_defaults(run=_cmd_enumerate)
 
     shad = sub.add_parser("shadow", help="shadow report of a vertex set")
@@ -60,11 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a generated instance file")
     gen.add_argument("--fixture", default=None,
                      help="named fixture, e.g. remark2:r=3,k=2")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n", type=int, default=8)
+    gen.add_argument("--seed", type=_integer, default=0)
+    gen.add_argument("--n", type=_integer, default=8)
     gen.add_argument("--density", type=float, default=0.25)
-    gen.add_argument("--k", type=int, default=2)
-    gen.add_argument("--p", type=int, default=2)
+    gen.add_argument("--k", type=_integer, default=2)
+    gen.add_argument("--p", type=_integer, default=2)
     gen.add_argument("--infinite-fraction", type=float, default=0.0)
     gen.set_defaults(run=_cmd_gen)
 
@@ -84,13 +84,10 @@ def _read_problem(path: str) -> ProblemFile:
 
 def _ids(tokens: list[str], where: str) -> list[int]:
     """The integer ids in `tokens`; an error names `where` and the bad token."""
-    ids = []
-    for tok in tokens:
-        try:
-            ids.append(int(tok))
-        except ValueError:
-            raise ValueError(f"{where}: {tok!r} is not an integer id") from None
-    return ids
+    try:
+        return [_integer(tok) for tok in tokens]
+    except ValueError as exc:  # "'x' is not an integer"
+        raise ValueError(f"{where}: {exc} id") from None
 
 
 def _parse_ids(raw: str, option: str) -> frozenset[int]:
@@ -161,8 +158,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         inst = named_fixture(args.fixture)
     else:
         if args.n > MAX_VERTICES:  # parse would reject the file anyway
-            print(f"error: --n {args.n} exceeds the limit {MAX_VERTICES}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--n {args.n} exceeds the limit {MAX_VERTICES}")
         inst = generate_instance(
             args.seed, args.n, args.density, args.k, args.p, args.infinite_fraction
         )
@@ -171,13 +167,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _read_solution_ids(path: str) -> list[int]:
+    where = f"solution file {path}"
     with open(path, encoding="utf-8") as f:
         tokens = f.read().split()
     if tokens and tokens[0] == "SOLUTION":
         count, tokens = tokens[1:2], tokens[2:]
-        if not count or not count[0].isdecimal() or int(count[0]) != len(tokens):
+        if _ids(count, where) != [len(tokens)]:
             raise ValueError(f"SOLUTION line must give the count of its {len(tokens)} id(s)")
-    return _ids(tokens, f"solution file {path}")
+    return _ids(tokens, where)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

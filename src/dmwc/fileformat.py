@@ -9,6 +9,7 @@
     inf <id>          (extra distinguished vertex)
     e <u> <v>         (one per edge, multiplicity by repetition)
 
+Every integer, here and in CLI options, is ASCII digits after at most one '-'.
 For the vertex and edge kinds the terminals are implicitly distinguished;
 `inf` lines add further undeletable vertices.  Serialization is canonical
 (header, n, p, sorted terminals/pairs, sorted extra inf, edges in stored
@@ -62,9 +63,16 @@ def from_instance(inst: Instance, kind: str = "vertex") -> ProblemFile:
     )
 
 
+def _integer(token: str) -> int:
+    """ASCII digits after at most one '-'; int() also takes '1_0', '+1', '\u0663'."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
+
+
 def _int_token(token: str, line_no: int, column: int) -> int:
     try:
-        return int(token)
+        return _integer(token)
     except ValueError:
         raise FormatError(f"expected an integer, got {token!r}", line_no, column)
 

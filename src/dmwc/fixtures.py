@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .fileformat import MAX_VERTICES, _integer
 from .graph import Digraph, Instance
 
 
@@ -27,6 +28,9 @@ class HubFanFixture:
         r, k = self.r, self.k
         if r < 1 or k < 1:
             raise ValueError("r and k must be positive")
+        n = k + 2 * r + r * (r - 1) // 2
+        if n > MAX_VERTICES:  # checked before the r * (r + k) edges are built
+            raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
         edges: list[tuple[int, int]] = []
         for i in range(1, r + 1):
             edges += [(self.a(i), self.t(j)) for j in range(1, k + 1)]
@@ -34,7 +38,6 @@ class HubFanFixture:
         for i in range(1, r + 1):
             for j in range(i + 1, r + 1):
                 edges += [(self.c(i, j), self.a(i)), (self.c(i, j), self.a(j))]
-        n = k + 2 * r + r * (r - 1) // 2
         terminals = frozenset(range(k))
         inst = Instance(Digraph(n, edges, terminals), terminals, self.budget)
         object.__setattr__(self, "instance", inst)
@@ -73,12 +76,13 @@ def named_fixture(name: str) -> Instance:
     if rest:
         for part in rest.split(","):
             key, _, value = part.partition("=")
-            if not value:
-                raise ValueError(f"malformed fixture parameter {part!r}")
             key = key.strip()
             if key in params:
                 raise ValueError(f"repeated fixture parameter {key!r}")
-            params[key] = int(value)
+            try:
+                params[key] = _integer(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"fixture parameter {key!r}: {exc}") from None
     if head == "remark2":
         inst = hub_fan(
             r=params.pop("r", 3), k=params.pop("k", 2), budget=params.pop("p", 2)

@@ -173,7 +173,6 @@ def solve_multicut_k2(
     sol = solve_vertex(Instance(g2, frozenset({s, t}), p), mode=mode)
     if sol is None:
         return None
-    cut = frozenset(v for v in sol.vertices if v < n)
-    if not verify_multicut(g, pairs, p, cut):
-        raise RuntimeError(f"multicut {sorted(cut)} failed verification")
-    return Solution(vertices=cut)
+    if not verify_multicut(g, pairs, p, sol.vertices):
+        raise RuntimeError(f"multicut {sorted(sol.vertices)} failed verification")
+    return sol

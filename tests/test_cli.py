@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from dmwc.cli import main
-from dmwc.fileformat import MAX_VERTICES, from_instance, serialize
+from dmwc.fileformat import MAX_VERTICES, from_instance, parse, serialize
 from dmwc.fixtures import hub_fan, two_cycle
 
 
@@ -180,6 +180,21 @@ def test_gen_caps_vertex_count(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and str(MAX_VERTICES) in captured.err
+    # so does a fixture: remark2 at r = 446, k = 2 would have 2 + 892 + 99,235
+    # vertices, rejected before any of its edges is built
+    monkeypatch.setattr("dmwc.fixtures.HubFanFixture.a", forbidden)
+    assert main(["gen", "--fixture", "remark2:r=446,k=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: vertex count 100129 exceeds the limit {MAX_VERTICES}\n"
+    monkeypatch.undo()
+    # at the bound itself: hub_fan(3, 2) has 2 + 6 + 3 = 11 vertices
+    monkeypatch.setattr("dmwc.fixtures.MAX_VERTICES", 11)
+    assert main(["gen", "--fixture", "remark2:r=3,k=2"]) == 0
+    assert capsys.readouterr().out.startswith("dmwc vertex\nn 11\n")
+    monkeypatch.setattr("dmwc.fixtures.MAX_VERTICES", 10)
+    assert main(["gen", "--fixture", "remark2:r=3,k=2"]) == 2
+    assert capsys.readouterr().err == "error: vertex count 11 exceeds the limit 10\n"
 
 
 def test_verify_round_trip(two_cycle_file, tmp_path, capsys):
@@ -220,9 +235,11 @@ def test_verify_rejects_malformed_solution_line(two_cycle_file, tmp_path, capsys
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
-    sol.write_text("2 3\n")  # a bare id list stays valid
-    assert main(["verify", two_cycle_file, "--solution", str(sol)]) == 0
-    assert capsys.readouterr().out.strip() == "OK"
+    # a bare id list stays valid, and so does a count with a leading zero
+    for text in ("2 3\n", "SOLUTION 02 2 3\n"):
+        sol.write_text(text)
+        assert main(["verify", two_cycle_file, "--solution", str(sol)]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
 
 
 @pytest.mark.parametrize("text, distinct, repeated", [
@@ -316,3 +333,73 @@ def test_threads_flag_is_unknown(two_cycle_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+# tokens that Python's int() reads as 10, 1, 3 and 2: an underscore, a sign,
+# an Arabic-Indic three and a full-width two
+MALFORMED = ("1_0", "+1", "\u0663", "\uff12")
+
+# every integer slot of an instance file, marked {}; filled with 2 each file
+# is valid, so the slot's token is its only fault
+FILE_SLOTS = (
+    "dmwc vertex\nn {}\np 1\nt 0\nt 1\n",
+    "dmwc vertex\nn 3\np {}\nt 0\nt 1\n",
+    "dmwc edge\nn 3\np 1\nt 0\n  t {}\n",
+    "dmwc vertex\nn 3\np 1\nt 0\nt 1\ninf {}\n",
+    "dmwc vertex\nn 3\np 1\nt 0\nt 1\ne {} 2\n",
+    "dmwc vertex\nn 3\np 1\nt 0\nt 1\ne 2   {}\n",
+    "dmwc multicut2\nn 4\np 1\npair {} 1\npair 2 3\n",
+    "dmwc multicut2\nn 4\np 1\npair 0 1\npair 3 {}  # comment\n",
+)
+
+
+@pytest.mark.parametrize("token", MALFORMED)
+def test_one_integer_rule_for_every_input(tmp_path, capsys, token):
+    # each input that holds an integer rejects the token (exit 2, nothing on
+    # stdout), and the message says where it came from
+    def rejected(argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    path = tmp_path / "slot.dmwc"
+    for template in FILE_SLOTS:
+        parse(template.format("2"))
+        at = template.index("{}")
+        line, column = template.count("\n", 0, at) + 1, at - template.rfind("\n", 0, at)
+        path.write_text(template.format(token), encoding="utf-8")
+        err = rejected(["solve", str(path)])
+        assert err == f"error: line {line}, column {column}: expected an integer, got {token!r}\n"
+
+    two = tmp_path / "two.dmwc"
+    two.write_text(serialize(from_instance(two_cycle(2))))
+    seps = ["enumerate-seps", str(two)]
+    for argv, option in (
+        (["solve", str(two), "--budget", token], "--budget"),
+        (seps + ["--source", "2", "--target", "0", "--budget", token], "--budget"),
+        *((["gen", option, token], option) for option in ("--seed", "--n", "--k", "--p")),
+    ):
+        err = rejected(argv)
+        assert f"argument {option}: " in err and repr(token) in err
+
+    for argv, option in (
+        (seps + ["--source", token, "--target", "0", "--budget", "1"], "--source"),
+        (seps + ["--source", "2", "--target", f"0,{token}", "--budget", "1"], "--target"),
+        (["shadow", str(two), "--set", f"2,{token}"], "--set"),
+    ):
+        assert rejected(argv) == f"error: {option}: {token!r} is not an integer id\n"
+
+    sol = tmp_path / "answer.txt"
+    for text in (f"SOLUTION 2 2 {token}\n", f"3 {token}\n", f"SOLUTION {token} 2 3\n"):
+        sol.write_text(text, encoding="utf-8")
+        err = rejected(["verify", str(two), "--solution", str(sol)])
+        assert err == f"error: solution file {sol}: {token!r} is not an integer id\n"
+
+    for name, key in (
+        (f"remark2:r={token}", "r"),
+        (f"remark2:r=2, k = {token} ", "k"),
+        (f"twocycle:p={token}", "p"),
+    ):
+        err = rejected(["gen", "--fixture", name])
+        assert err == f"error: fixture parameter {key!r}: {token!r} is not an integer\n"

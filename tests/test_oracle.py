@@ -76,6 +76,7 @@ def test_hub_fan_validates():
 def test_named_fixtures():
     fx = named_fixture("remark2:r=3,k=2")
     assert fx == hub_fan(3, 2).instance
+    assert named_fixture("remark2: r = 3 ,k=02 ") == fx  # values are stripped like keys
     assert named_fixture("twocycle:p=1") == two_cycle(1)
     assert named_fixture("twocycle") == two_cycle(2)
     with pytest.raises(ValueError):

@@ -295,6 +295,24 @@ def test_multicut_examples():
         solve_multicut_k2(idle, [(0, 1)], 1)
 
 
+def test_multicut_gadget_vertex_in_a_cut_is_a_solver_bug(monkeypatch):
+    # the gadget's fresh terminal n is undeletable, so a cut holding it can
+    # only come from a solver bug: it must fail verification, not be dropped
+    from dmwc import pipeline
+
+    g = Digraph(6, [(0, 4), (4, 1), (2, 5), (5, 3)], {0, 1, 2, 3})
+    real = pipeline.solve_vertex
+
+    def leaky(inst, **kwargs):
+        sol = real(inst, **kwargs)
+        return pipeline.Solution(vertices=sol.vertices | {g.vertex_count})
+
+    assert solve_multicut_k2(g, [(0, 1), (2, 3)], 3).vertices == frozenset({4, 5})
+    monkeypatch.setattr(pipeline, "solve_vertex", leaky)
+    with pytest.raises(RuntimeError, match=r"multicut \[4, 5, 6\] failed verification"):
+        solve_multicut_k2(g, [(0, 1), (2, 3)], 3)
+
+
 def test_multicut_agrees_with_brute_force():
     for i in range(60):
         g = random_digraph(4000 + i, 5 + i % 2, 0.25)
@@ -305,10 +323,16 @@ def test_multicut_agrees_with_brute_force():
         assert (got is None) == (want is None), i
 
 
-def test_loops_and_repeated_edges_keep_every_answer(built):
+@pytest.mark.parametrize("bound", [True, False], ids=["bound", "walk-only"])
+def test_loops_and_repeated_edges_keep_every_answer(built, monkeypatch, bound):
     # self-loops and parallel edges are legal in every file kind; each kind
     # must still agree with its brute force, on YES, on NO by Menger's bound
-    # and on NO after walking the candidate families
+    # and on NO after walking the candidate families.  With the bound off
+    # (every lambda_t read as 0; `_impsep` binds its own flow) the walk alone
+    # must answer the NOs the bound would decide
+    if not bound:
+        monkeypatch.setattr("dmwc.pipeline.min_vertex_separator", lambda *args: frozenset())
+
     def answer(got):
         return "yes" if got is not None else "walked no" if built else "bound no"
 
@@ -319,7 +343,7 @@ def test_loops_and_repeated_edges_keep_every_answer(built):
         built.clear()
         got = solve_vertex(inst)
         assert (got is None) == (brute_force_mwc(inst) is None), inst
-        assert (not built) == bound_decides(inst), inst  # the rule, and only it
+        assert (not built) == (bound and bound_decides(inst)), inst  # the rule, and only it
         vertex.add(answer(got))
     edge = set()
     for inst in small_instances(80, seed0=700, max_n=7, max_p=2):
@@ -338,4 +362,5 @@ def test_loops_and_repeated_edges_keep_every_answer(built):
         got = solve_multicut_k2(g, pairs, p)
         assert (got is None) == (brute_multicut(g, pairs, p) is None), i
         multicut.add(answer(got))
-    assert vertex == edge == multicut == {"yes", "walked no", "bound no"}
+    kinds = {"yes", "walked no", "bound no"} if bound else {"yes", "walked no"}
+    assert vertex == edge == multicut == kinds
