@@ -3,7 +3,7 @@
 Exit codes: 0 = solved / feasible / verified, 1 = no solution (or a solution
 file that fails `verify`), 2 = input error, 4 = solver bug in any subcommand:
 an answer failed its own re-verification or an internal check of the solver
-(max-flow, cut extraction, recursion depth) failed; nothing is printed to
+(cut extraction, recursion depth) failed; nothing is printed to
 stdout.  The machine-readable result goes to stdout ("SOLUTION k v1 ... vk"
 or "NO"); human-readable notes go to stderr.
 """
@@ -33,13 +33,20 @@ from .separators import enumerate_important
 from .shadows import shadow
 
 
+def _int_arg(raw: str) -> int:
+    try:
+        return _integer(raw)
+    except ValueError as exc:  # for a ValueError argparse prints the function name
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmwc")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("instance", help="instance file, or - for stdin")
-    solve.add_argument("--budget", type=_integer, default=None, help="override the file budget")
+    solve.add_argument("--budget", type=_int_arg, default=None, help="override the file budget")
     solve.add_argument("--min-budget-search", action="store_true",
                        help="report a solution at the minimum feasible budget")
     solve.set_defaults(run=_cmd_solve)
@@ -48,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seps.add_argument("instance")
     seps.add_argument("--source", required=True, help="comma-separated vertex ids")
     seps.add_argument("--target", required=True, help="comma-separated vertex ids")
-    seps.add_argument("--budget", type=_integer, required=True)
+    seps.add_argument("--budget", type=_int_arg, required=True)
     seps.set_defaults(run=_cmd_enumerate)
 
     shad = sub.add_parser("shadow", help="shadow report of a vertex set")
@@ -60,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a generated instance file")
     gen.add_argument("--fixture", default=None,
                      help="named fixture, e.g. remark2:r=3,k=2")
-    gen.add_argument("--seed", type=_integer, default=0)
-    gen.add_argument("--n", type=_integer, default=8)
+    gen.add_argument("--seed", type=_int_arg, default=0)
+    gen.add_argument("--n", type=_int_arg, default=8)
     gen.add_argument("--density", type=float, default=0.25)
-    gen.add_argument("--k", type=_integer, default=2)
-    gen.add_argument("--p", type=_integer, default=2)
+    gen.add_argument("--k", type=_int_arg, default=2)
+    gen.add_argument("--p", type=_int_arg, default=2)
     gen.add_argument("--infinite-fraction", type=float, default=0.0)
     gen.set_defaults(run=_cmd_gen)
 

@@ -141,9 +141,9 @@ def connected_terminal(
 
 
 def min_vertex_separator(
-    g: Digraph, x: Iterable[int], y: Iterable[int], removed: Iterable[int] = ()
+    g: Digraph, x: Iterable[int], y: Iterable[int], p: int, removed: Iterable[int] = ()
 ) -> frozenset[int] | None:
-    """Minimum x-y separator in g minus `removed` with inclusion-maximal reach from x.
+    """Max-reach minimum x-y separator in g minus `removed`, if it has at most p vertices.
 
     Realized by max-flow on the in/out node-splitting network, kept implicit:
     node 2v is v_in, node 2v+1 is v_out, and the search reads g's own
@@ -162,16 +162,16 @@ def min_vertex_separator(
     Removed vertices are never entered, so they never carry flow or join the
     separator, and self-loops lie on no path.  Each augmenting path is found
     by a search backward along residual arcs from the sinks y_in to a source
-    x_out.  Once no x-y path runs through undeletable vertices alone the
-    maximum flow is finite, so adding one unit per path ends after lambda
-    paths; a flow above the number of cuttable vertices would mean that check
-    and the capacities disagree, and raises RuntimeError instead of looping.
-    The last search, which finds no source, sees exactly the nodes with a
-    residual path into the sink side.  The unique max-reach minimum separator
-    is the set of cuttable v whose v_out it saw and whose v_in it did not.
+    x_out.  The loop runs at most min(p, |cuttable|) + 1 searches (a finite
+    flow saturates distinct unit arcs, so lambda <= |cuttable|) and returns
+    None once the value passes that bound.  Otherwise it ends at a search
+    that finds no source, which sees exactly the nodes with a residual path
+    into the sink side.  The unique max-reach minimum separator is the set
+    of cuttable v whose v_out it saw and whose v_in it did not.
 
-    Returns the separator, whose size is lambda, or None when no finite
-    separator exists (an x-to-y path through only undeletable vertices).
+    Returns the separator, whose size is lambda, or None when no separator of
+    at most p vertices exists: lambda > p, p < 0, or an x-to-y path through
+    undeletable vertices alone.
     """
     xs = _check_ids(g, x)
     ys = _check_ids(g, y)
@@ -181,6 +181,7 @@ def min_vertex_separator(
     if xs & ys or gone & (xs | ys):
         raise ValueError("x, y and removed must be pairwise disjoint")
     cuttable = g.deletable - xs - ys - gone
+    # settle "no finite separator" in one search, not the loop's p + 1
     if _reach(g, xs, cuttable | gone) & ys:
         return None
 
@@ -188,7 +189,7 @@ def min_vertex_separator(
     through = [0] * g.vertex_count
     arc: dict[tuple[int, int], int] = {}
     value = 0
-    while True:
+    while value <= min(p, len(cuttable)):
         # nxt[a] is the node after a on a residual path into the sink side:
         # -1 at a sink, -2 while a is unseen
         nxt = [-2] * (2 * g.vertex_count)
@@ -233,8 +234,8 @@ def min_vertex_separator(
                 arc[b >> 1, a >> 1] -= 1
             a = b
         value += 1
-        if value > len(cuttable):  # a finite flow saturates distinct unit arcs
-            raise RuntimeError("max-flow exceeded the number of deletable vertices")
+    else:  # lambda > min(p, len(cuttable)): no separator of at most p vertices
+        return None
 
     separator = frozenset(
         v for v in cuttable if nxt[2 * v] == -2 and nxt[2 * v + 1] != -2

@@ -98,10 +98,3 @@ def generate_instance(
         if v not in terminals and rng.unit() < infinite_fraction:
             infinite.add(v)
     return Instance(Digraph(n, edges, infinite), terminals, p)
-
-
-__all__ = [
-    "brute_force_mwc",
-    "brute_force_important",
-    "generate_instance",
-]

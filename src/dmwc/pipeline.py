@@ -21,11 +21,11 @@ of the collection members inside its W, so it contains the shadow of the
 empty member whenever there is one.  A z1 that does not contain z1_0 would
 be a solver bug and raises RuntimeError.
 
-Before any family is built, the solver answers NO when some terminal t has
-no t-(T - t) vertex separator within the budget, since every multiway cut is
-one.  By Menger's theorem, budget + 1 internally vertex-disjoint t-(T - t)
-paths certify that NO; a t-(T - t) path through undeletable vertices alone is
-the case where no separator exists at all.
+Before any family is built, one max-flow per terminal t, given the budget,
+answers NO when t has no t-(T - t) vertex separator within it, since every
+multiway cut is one.  By Menger's theorem, budget + 1 internally
+vertex-disjoint t-(T - t) paths certify that NO; a t-(T - t) path through
+undeletable vertices alone is the case where no separator exists at all.
 
 Every answer is re-checked on the input instance before it is returned.  A
 failed check can only be a solver bug, so it raises RuntimeError rather than
@@ -106,16 +106,14 @@ def solve_vertex(inst: Instance, *, mode: str = "deterministic") -> Solution | N
     """Feasible vertex multiway cut of size <= budget, or None.
 
     Branches over both candidate families, so None means no cut exists.  It
-    first answers None when a terminal t has no t-(T - t) separator of size
-    at most budget (Menger: budget + 1 internally vertex-disjoint t-(T - t)
-    paths), which covers t reaching T - t through undeletable vertices alone.
+    first answers None when a terminal t has no t-(T - t) separator of at
+    most budget vertices (the module docstring says why).
     `mode` stays for callers that name it; any value but "deterministic" raises.
     """
     if mode != "deterministic":
         raise ValueError(f"unknown mode {mode!r}")
     for t in sorted(inst.terminals) if len(inst.terminals) > 1 else ():
-        cut = min_vertex_separator(inst.graph, {t}, inst.terminals - {t})
-        if cut is None or len(cut) > inst.budget:
+        if min_vertex_separator(inst.graph, {t}, inst.terminals - {t}, inst.budget) is None:
             return None
     tried: set[frozenset[int]] = set()
     base = InnerBase()  # filled by the first inner build, read by the others

@@ -4,9 +4,9 @@ A separator is a frozenset of vertex ids.  Lists and collections are in
 canonical order: by size, then by sorted members.
 
 The enumeration follows the branch-on-a-min-cut-vertex recursion: compute the
-max-reach minimum separator, pick its smallest vertex v, and recurse once with
-v added to the removed set (budget minus one; g itself is never copied) and
-once with the source side pushed past v.
+max-reach minimum separator of at most p vertices, pick its smallest vertex v,
+and recurse once with v added to the removed set (budget minus one; g itself
+is never copied) and once with the source side pushed past v.
 The recursion over-approximates, so a candidate is dropped when another
 candidate of no larger size reaches every vertex it reaches from x.  This is
 exact: the recursion returns every important separator of size at most p,
@@ -23,7 +23,7 @@ node whose S avoids U - U0 computes the same S (Marx, TCS 2006): lambda
 cannot drop, since fewer vertices are cuttable; S is still a separator of
 size lambda, so it is still minimum; and every minimum separator under U is
 one under U0, so S still has the largest reach.  A node without such an S
-(none, empty, or larger than p) keeps that outcome, as lambda cannot drop.
+(empty, or none of at most p vertices) keeps that outcome, as lambda cannot drop.
 The pivot, the pushed source side and the dominance filter read only S, the
 removed set and the graph's arcs, which U does not change.  So a witness whose
 `met` avoids U - U0 keeps its important separators, and only the others
@@ -74,8 +74,8 @@ def _impsep(
 ) -> set[frozenset[int]]:
     if guard < 0:
         raise RuntimeError("important-separator recursion exceeded depth bound")
-    s_star = min_vertex_separator(g, x, y, gone)
-    if s_star is None or len(s_star) > p:
+    s_star = min_vertex_separator(g, x, y, p, gone)
+    if s_star is None:
         return set()
     if not s_star:
         return {frozenset()}

@@ -65,7 +65,7 @@ def is_important(
     xs, ys, ss = frozenset(x), frozenset(y), frozenset(s)
     if not is_separator(g, xs, ys, ss):
         return False
-    return min_vertex_separator(g, reachable_from(g, xs, ss), ys) == ss
+    return min_vertex_separator(g, reachable_from(g, xs, ss), ys, len(ss)) == ss
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ def terminal_lambdas(inst):
     ts = inst.terminals
     if len(ts) == 1:
         return []
-    cuts = [min_vertex_separator(inst.graph, {t}, ts - {t}) for t in sorted(ts)]
+    g = inst.graph
+    cuts = [min_vertex_separator(g, {t}, ts - {t}, len(g.deletable)) for t in sorted(ts)]
     return [None if c is None else len(c) for c in cuts]
 
 

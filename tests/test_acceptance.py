@@ -46,7 +46,7 @@ def _separator_corpus():
             for y in range(n):
                 if x == y:
                     continue
-                found = min_vertex_separator(g, {x}, {y})
+                found = min_vertex_separator(g, {x}, {y}, len(g.deletable))
                 lam = None if found is None else len(found)
                 seps = set(enumerate_important(g, {x}, {y}, MAX_P))
                 pairs.append((x, y, lam, seps))

@@ -96,39 +96,39 @@ def test_reverse():
 def test_min_separator_path_prefers_max_reach():
     # x=0 -> a=1 -> b=2 -> y=3; both {a} and {b} are minimum, {b} sees more
     g = Digraph(4, [(0, 1), (1, 2), (2, 3)], {0, 3})
-    s_star = min_vertex_separator(g, {0}, {3})
+    s_star = min_vertex_separator(g, {0}, {3}, 1)
     assert (len(s_star), s_star) == (1, frozenset({2}))
 
 
 def test_min_separator_hub_fan():
     fx = hub_fan(3, 2)
     g = fx.instance.graph
-    s_star = min_vertex_separator(g, {fx.c(1, 2)}, {fx.t(1), fx.t(2)})
+    s_star = min_vertex_separator(g, {fx.c(1, 2)}, {fx.t(1), fx.t(2)}, 2)
     assert (len(s_star), s_star) == (2, frozenset({fx.a(1), fx.a(2)}))
 
 
 def test_min_separator_disconnected_and_infeasible():
     g = Digraph(4, [(0, 1)], {0, 2})
-    assert min_vertex_separator(g, {2}, {3}) == frozenset()
+    assert min_vertex_separator(g, {2}, {3}, 0) == frozenset()
     direct = Digraph(2, [(0, 1)], {0, 1})
-    assert min_vertex_separator(direct, {0}, {1}) is None
+    assert min_vertex_separator(direct, {0}, {1}, 2) is None
 
 
 def test_min_separator_validates():
     g = Digraph(3, [(0, 1)])
     with pytest.raises(ValueError):
-        min_vertex_separator(g, set(), {1})
+        min_vertex_separator(g, set(), {1}, 1)
     with pytest.raises(ValueError):
-        min_vertex_separator(g, {0}, {0})
+        min_vertex_separator(g, {0}, {0}, 1)
 
 
 def test_min_separator_flow_is_bounded(monkeypatch):
     # with the up-front no-finite-cut check blinded, the x -> u -> y path
-    # through undeletable u carries unbounded flow; the loop must fail, not spin
+    # through undeletable u carries unbounded flow; the budget must end the
+    # loop with None, neither spinning nor raising
     monkeypatch.setattr(graph, "_reach", lambda *args: frozenset())
     g = Digraph(3, [(0, 1), (1, 2)], {1})
-    with pytest.raises(RuntimeError, match="max-flow exceeded"):
-        min_vertex_separator(g, {0}, {2})
+    assert min_vertex_separator(g, {0}, {2}, len(g.deletable)) is None
 
 
 def test_min_separator_cancels_flow():
@@ -140,7 +140,8 @@ def test_min_separator_cancels_flow():
         (x, a), (a, d), (d, y), (a, a2), (a2, b), (b, y), (x, c), (c, c2), (c2, d),
         (x, e1), (e1, e2), (e2, d), (a, f1), (f1, f2), (f2, f3), (f3, y),
     ], {x, y})
-    assert min_vertex_separator(g, {x}, {y}) == frozenset({a, d})
+    assert min_vertex_separator(g, {x}, {y}, len(g.deletable)) == frozenset({a, d})
+    assert min_vertex_separator(g, {x}, {y}, 1) is None
 
 
 def test_no_assert_in_sources():
@@ -161,9 +162,9 @@ def _is_sep(g, x, y, s):
 
 
 def _check_min_separator(g, xs, ys, gone=frozenset()):
-    """Compare min_vertex_separator with an exhaustive search over the
-    separators of g minus `gone`; return lambda, or None when only
-    undeletable vertices could separate."""
+    """Compare min_vertex_separator at every budget p from -1 to lambda + 1
+    with an exhaustive search over the separators of g minus `gone`; return
+    lambda, or None when only undeletable vertices could separate."""
     pool = sorted(g.deletable - xs - ys - gone)
     for size in range(len(pool) + 1):
         best = [
@@ -173,18 +174,21 @@ def _check_min_separator(g, xs, ys, gone=frozenset()):
         ]
         if best:
             break
-    found = min_vertex_separator(g, xs, ys, gone)
     if not best:
-        assert found is None
+        for p in range(-1, len(pool) + 2):
+            assert min_vertex_separator(g, xs, ys, p, gone) is None
         return None
-    s_star = found
-    assert len(s_star) == len(best[0]) and s_star in best
+    lam = len(best[0])
+    s_star = min_vertex_separator(g, xs, ys, lam, gone)
+    assert s_star in best
     # s_star has the unique inclusion-maximal reach
     reach = reachable_from(g, xs, s_star | gone)
     for s in best:
         if s != s_star:
             assert reachable_from(g, xs, s | gone) < reach
-    return len(s_star)
+    for p in range(-1, lam + 2):
+        assert min_vertex_separator(g, xs, ys, p, gone) == (s_star if lam <= p else None)
+    return lam
 
 
 def test_min_separator_matches_brute_force():
@@ -259,7 +263,7 @@ def test_min_separator_value_matches_networkx():
             net.add_edge(("out", v), "sink", capacity=big)
         res = edmonds_karp(net, "source", "sink")
         value = res.graph["flow_value"]
-        found = min_vertex_separator(g, xs, ys, gone)
+        found = min_vertex_separator(g, xs, ys, len(g.deletable), gone)
         if value >= big:
             assert found is None, seed
         else:
@@ -272,6 +276,9 @@ def test_min_separator_value_matches_networkx():
                 v for v in cuttable if ("in", v) not in can_reach and ("out", v) in can_reach
             )
             assert found == expect and len(found) == value, seed
+            # the budget stops the flow one unit short, or lets it end at lambda
+            assert min_vertex_separator(g, xs, ys, value - 1, gone) is None, seed
+            assert min_vertex_separator(g, xs, ys, value, gone) == found, seed
         outcomes.add(found is None)
     assert outcomes == {True, False}
 

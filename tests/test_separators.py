@@ -102,6 +102,8 @@ def test_one_flow_per_recursion_node(monkeypatch):
         enumerate_important(*case)
     assert len(nodes) > len(cases)
     assert len(flows) == len(nodes)
+    # each node hands its own budget to its flow
+    assert all(flow[3] == node[3] for flow, node in zip(flows, nodes))
 
 
 def test_removed_set_matches_graph_minus_it():
@@ -114,8 +116,9 @@ def test_removed_set_matches_graph_minus_it():
                 v for v in range(7) if v not in (x, y) and rng.unit() < 0.25
             )
             h = minus(g, removed)
-            assert min_vertex_separator(g, {x}, {y}, removed) == min_vertex_separator(
-                h, {x}, {y}
+            cap = len(g.deletable)
+            assert min_vertex_separator(g, {x}, {y}, cap, removed) == min_vertex_separator(
+                h, {x}, {y}, cap
             )
             for p in (1, 2):
                 cases.append((g, h, x, y, p, removed))
@@ -135,7 +138,7 @@ def test_removed_set_validates():
     g = Digraph(4, [(0, 1), (1, 2), (2, 3)], {0, 3})
     for bad in ({0}, {3}, {0, 1}, {4}, {-1}):
         with pytest.raises(ValueError):
-            min_vertex_separator(g, {0}, {3}, bad)
+            min_vertex_separator(g, {0}, {3}, 2, bad)
         with pytest.raises(ValueError):
             enumerate_important(g, {0}, {3}, 2, bad)
 
@@ -170,7 +173,7 @@ def test_count_bound():
             for y in range(8):
                 if x == y:
                     continue
-                found = min_vertex_separator(g, {x}, {y})
+                found = min_vertex_separator(g, {x}, {y}, len(g.deletable))
                 if found is None:
                     continue
                 lam = len(found)
@@ -203,7 +206,7 @@ def test_reach_containment():
             for y in range(7):
                 if x == y:
                     continue
-                found = min_vertex_separator(g, {x}, {y})
+                found = min_vertex_separator(g, {x}, {y}, len(g.deletable))
                 if found is None:
                     continue
                 base = reachable_from(g, {x}, found)
