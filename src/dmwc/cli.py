@@ -3,15 +3,17 @@
 Exit codes: 0 = solved / feasible / verified, 1 = no solution (or a solution
 file that fails `verify`), 2 = input error, 4 = solver bug in any subcommand:
 an answer failed its own re-verification or an internal check of the solver
-(cut extraction, recursion depth) failed; nothing is printed to
-stdout.  The machine-readable result goes to stdout ("SOLUTION k v1 ... vk"
-or "NO"); human-readable notes go to stderr.
+(cut extraction, recursion depth) failed; nothing is printed to stdout.
+141 = the reader closed stdout first (SIGPIPE's code in a shell), and
+nothing is printed to stderr.  The machine-readable result goes to stdout
+("SOLUTION k v1 ... vk" or "NO"); human-readable notes go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Sequence
 
@@ -40,6 +42,13 @@ def _int_arg(raw: str) -> int:
         raise argparse.ArgumentTypeError(exc) from None
 
 
+def _ids_arg(raw: str) -> frozenset[int]:
+    try:
+        return frozenset(map(_integer, raw.replace(",", " ").split()))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} id") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmwc")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -53,14 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     seps = sub.add_parser("enumerate-seps", help="list important separators")
     seps.add_argument("instance")
-    seps.add_argument("--source", required=True, help="comma-separated vertex ids")
-    seps.add_argument("--target", required=True, help="comma-separated vertex ids")
+    seps.add_argument("--source", type=_ids_arg, required=True, help="comma-separated vertex ids")
+    seps.add_argument("--target", type=_ids_arg, required=True, help="comma-separated vertex ids")
     seps.add_argument("--budget", type=_int_arg, required=True)
     seps.set_defaults(run=_cmd_enumerate)
 
     shad = sub.add_parser("shadow", help="shadow report of a vertex set")
     shad.add_argument("instance")
-    shad.add_argument("--set", dest="vertex_set", required=True,
+    shad.add_argument("--set", dest="vertex_set", type=_ids_arg, required=True,
                       help="comma-separated vertex ids")
     shad.set_defaults(run=_cmd_shadow)
 
@@ -95,10 +104,6 @@ def _ids(tokens: list[str], where: str) -> list[int]:
         return [_integer(tok) for tok in tokens]
     except ValueError as exc:  # "'x' is not an integer"
         raise ValueError(f"{where}: {exc} id") from None
-
-
-def _parse_ids(raw: str, option: str) -> frozenset[int]:
-    return frozenset(_ids(raw.replace(",", " ").split(), option))
 
 
 def _print_ids(label: str, ids: Sequence[int]) -> None:
@@ -138,18 +143,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     pf = _read_problem(args.instance)
-    source = _parse_ids(args.source, "--source")
-    target = _parse_ids(args.target, "--target")
-    for sep in enumerate_important(pf.graph, source, target, args.budget):
+    for sep in enumerate_important(pf.graph, args.source, args.target, args.budget):
         _print_ids("SEP", sorted(sep))
     return 0
 
 
 def _cmd_shadow(args: argparse.Namespace) -> int:
-    pf = _read_problem(args.instance)
-    s = _parse_ids(args.vertex_set, "--set")
-    inst = pf.to_instance()
-    report = shadow(inst.graph, inst.terminals, s)
+    inst = _read_problem(args.instance).to_instance()
+    report = shadow(inst.graph, inst.terminals, args.vertex_set)
     for label, vs in (
         ("FORWARD", report.forward),
         ("REVERSE", report.reverse),
@@ -207,6 +208,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.run(args)
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, as on SIGPIPE
+        sys.stdout = open(os.devnull, "w")  # so the flush at exit succeeds
+        return 141
     except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -108,11 +108,16 @@ def reachable_from(
     g: Digraph, sources: Iterable[int], removed: Iterable[int] = ()
 ) -> frozenset[int]:
     """Vertices reachable from `sources` in g minus `removed`, sources included."""
-    src = _check_ids(g, sources)
-    gone = _check_ids(g, removed)
+    return _reach(g, *_check_sources(g, sources, removed))
+
+
+def _check_sources(
+    g: Digraph, sources: Iterable[int], removed: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    src, gone = _check_ids(g, sources), _check_ids(g, removed)
     if src & gone:
         raise ValueError("sources and removed must be disjoint")
-    return _reach(g, src, gone)
+    return src, gone
 
 
 def _reach(g: Digraph, src: frozenset[int], gone: frozenset[int]) -> frozenset[int]:
@@ -134,8 +139,9 @@ def connected_terminal(
 ) -> int | None:
     """Smallest terminal still reaching another one in g minus `removed`, or
     None when `removed` is a multiway cut."""
-    for t in sorted(terminals):
-        if reachable_from(g, {t}, removed) & (terminals - {t}):
+    terms, gone = _check_sources(g, terminals, removed)
+    for t in sorted(terms):
+        if _reach(g, frozenset({t}), gone) & (terms - {t}):
             return t
     return None
 

@@ -13,13 +13,13 @@ since the reduced instance depends only on their union.
 The inner instances of one solve differ only in their undeletable set, so
 the inner build for the first outer choice z1_0 is kept as the base
 (`separators.InnerBase`) and every later inner build re-enumerates only the
-witnesses whose max-flow recursion met a vertex of z1 - z1_0; the
-`separators` module docstring proves that the others keep their important
-separators.  The base is valid because every later z1 contains z1_0: the
-outer family's first set W is empty, and each z1 is the union of the shadows
-of the collection members inside its W, so it contains the shadow of the
-empty member whenever there is one.  A z1 that does not contain z1_0 would
-be a solver bug and raises RuntimeError.
+witnesses of base separators that meet z1 - z1_0; the `separators` module
+docstring proves that the others keep their important separators.  The base
+is valid because every later z1 contains z1_0: the outer family's first set
+W is empty, and each z1 is the union of the shadows of the collection
+members inside its W, so it contains the shadow of the empty member
+whenever there is one.  A z1 that does not contain z1_0 would be a solver
+bug and raises RuntimeError.
 
 Before any family is built, one max-flow per terminal t, given the budget,
 answers NO when t has no t-(T - t) vertex separator within it, since every

@@ -10,24 +10,25 @@ is never copied) and once with the source side pushed past v.
 The recursion over-approximates, so a candidate is dropped when another
 candidate of no larger size reaches every vertex it reaches from x.  This is
 exact: the recursion returns every important separator of size at most p,
-and every separator is dominated by an important one of no larger size, so
-each non-minimal or non-important candidate loses to some candidate, while
-an important one never does.  The definitional checks (`is_important`,
+and every separator is dominated by an important one of no larger size
+(Marx, TCS 2006; Cygan et al., Parameterized Algorithms, ch. 8), so each
+non-minimal or non-important candidate loses to some candidate, while an
+important one never does.  The definitional checks (`is_important`,
 `is_minimal_separator`) live in `shadows` as references for the tests.
 
 `build_collection` can reuse an earlier build of the same graph, terminals
-and budget under a smaller undeletable set U0 (an `InnerBase`).  Call `met`
-the union of the max-reach minimum separators S, 1 <= |S| <= p, that a
-witness's recursion computed under U0.  Under a larger set U, a recursion
-node whose S avoids U - U0 computes the same S (Marx, TCS 2006): lambda
-cannot drop, since fewer vertices are cuttable; S is still a separator of
-size lambda, so it is still minimum; and every minimum separator under U is
-one under U0, so S still has the largest reach.  A node without such an S
-(empty, or none of at most p vertices) keeps that outcome, as lambda cannot drop.
-The pivot, the pushed source side and the dominance filter read only S, the
-removed set and the graph's arcs, which U does not change.  So a witness whose
-`met` avoids U - U0 keeps its important separators, and only the others
-are enumerated again.
+and budget under a smaller undeletable set U0 (an `InnerBase`).  Let U be
+the larger set, A = U - U0, and fix a witness v none of whose important v-T
+separators of at most p vertices under U0 meets A.  Each of them avoids U,
+so it is still a separator, and still important, as U only removes
+competitors.  An important S' under U is a separator under U0, so by that
+lemma some important S* under U0 has |S*| <= |S'| and R(S*) containing
+R(S'), where R is the set v reaches.  S* avoids A, so it is a separator
+under U, and S' being important gives R(S*) = R(S'); a minimal separator is
+the out-neighbourhood of its reach, so S* = S'.  An empty list (lambda > p)
+stays empty, as fewer vertices are cuttable, and [empty separator] stays, as
+the arcs are the same.  So v keeps its separators, and only the witnesses
+of base separators that meet A are enumerated again.
 """
 
 from __future__ import annotations
@@ -42,22 +43,18 @@ def canonical_order(s: frozenset[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def enumerate_important(
-    g: Digraph, x: Iterable[int], y: Iterable[int], p: int, removed: Iterable[int] = (),
-    *, met: set[int] | None = None,
+    g: Digraph, x: Iterable[int], y: Iterable[int], p: int, removed: Iterable[int] = ()
 ) -> list[frozenset[int]]:
     """All important x-y separators of size at most p in g minus `removed`,
     canonically ordered.
 
     Returns [empty separator] when x cannot reach y and [] when even the
     minimum separator exceeds p (or only infinite vertices could separate).
-    A `met` set, when given, gains every vertex of every max-reach minimum
-    separator S with 1 <= |S| <= p that the recursion computed; the result
-    does not depend on it.
     """
     xs, ys, gone = frozenset(x), frozenset(y), frozenset(removed)
     if p < 0:
         raise ValueError("budget must be non-negative")
-    candidates = _impsep(g, xs, ys, p, gone, 2 * p + 1, met)
+    candidates = _impsep(g, xs, ys, p, gone, 2 * p + 1)
     # candidates exist only after the first flow call has checked xs and gone
     reach = {s: _reach(g, xs, s | gone) for s in candidates}
     return [
@@ -70,7 +67,7 @@ def enumerate_important(
 
 def _impsep(
     g: Digraph, x: frozenset[int], y: frozenset[int], p: int, gone: frozenset[int],
-    guard: int, met: set[int] | None,
+    guard: int,
 ) -> set[frozenset[int]]:
     if guard < 0:
         raise RuntimeError("important-separator recursion exceeded depth bound")
@@ -79,28 +76,26 @@ def _impsep(
         return set()
     if not s_star:
         return {frozenset()}
-    if met is not None:
-        met |= s_star
     v = min(s_star)  # fixed pivot for reproducible enumeration order
     # 1 <= |s_star| <= p here, so the branch that cuts v has budget p - 1 >= 0
-    out = {s | {v} for s in _impsep(g, x, y, p - 1, gone | {v}, guard - 1, met)}
+    out = {s | {v} for s in _impsep(g, x, y, p - 1, gone | {v}, guard - 1)}
     pushed = _reach(g, x, s_star | gone) | {v}
-    out |= _impsep(g, pushed, y, p, gone, guard - 1, met)
+    out |= _impsep(g, pushed, y, p, gone, guard - 1)
     return out
 
 
 class InnerBase:
     """The first build that `build_collection` is handed with this record:
-    its instance and, per witness, the important separators and `met` (the
-    module docstring says why `met` decides what a later build may reuse).
-    Every later build must be of the same graph, terminals and budget with
-    an undeletable set that contains the first one's."""
+    its instance and the collection it returned, which says per witness
+    what a later build may reuse (the module docstring says why).  Every
+    later build must be of the same graph, terminals and budget with an
+    undeletable set that contains the first one's."""
 
-    __slots__ = ("instance", "witnesses")
+    __slots__ = ("instance", "collection")
 
     def __init__(self) -> None:
         self.instance: Instance | None = None
-        self.witnesses: dict[int, tuple[list[frozenset[int]], frozenset[int]]] = {}
+        self.collection: dict[frozenset[int], frozenset[int]] = {}
 
 
 def build_collection(
@@ -115,14 +110,15 @@ def build_collection(
     from being separated from T.
 
     An empty `base` records this build.  A filled one supplies every witness
-    whose `met` avoids the vertices this instance made undeletable beyond the
-    base's; the others are enumerated again.  The result is the same as
-    without `base`.  An instance that is not the base's with a larger
-    undeletable set raises RuntimeError.
+    none of whose base separators meets the vertices this instance made
+    undeletable beyond the base's; the others are enumerated again.  The
+    result is the same as without `base`.  An instance that is not the
+    base's with a larger undeletable set raises RuntimeError.
     """
     g = inst.graph
     terms = inst.terminals
-    kept: dict[int, list[frozenset[int]]] = {}  # witnesses the base supplies
+    todo = set(g.vertices()) - terms
+    acc: dict[frozenset[int], set[int]] = {}
     if base is not None and base.instance is not None:
         old = base.instance
         if (
@@ -132,18 +128,12 @@ def build_collection(
         ):
             raise RuntimeError("inner build is not the base with more undeletables")
         added = g.infinite - old.graph.infinite
-        kept = {v: seps for v, (seps, met) in base.witnesses.items() if not met & added}
-    record = base is not None and base.instance is None
-    acc: dict[frozenset[int], set[int]] = {}
-    for v in sorted(set(g.vertices()) - terms):
-        seps = kept.get(v)
-        if seps is None:
-            met: set[int] = set()
-            seps = enumerate_important(g, {v}, terms, inst.budget, met=met)
-            if record:
-                base.witnesses[v] = (seps, frozenset(met))
-        for sep in seps:
+        todo = set().union(*[ws for s, ws in base.collection.items() if s & added])
+        acc = {s: set(ws - todo) for s, ws in base.collection.items()}
+    for v in sorted(todo):
+        for sep in enumerate_important(g, {v}, terms, inst.budget):
             acc.setdefault(sep, set()).add(v)
-    if record:
-        base.instance = inst
-    return {s: frozenset(acc[s]) for s in sorted(acc, key=canonical_order)}
+    out = {s: frozenset(acc[s]) for s in sorted(acc, key=canonical_order) if acc[s]}
+    if base is not None and base.instance is None:
+        base.instance, base.collection = inst, out
+    return out

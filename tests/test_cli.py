@@ -1,4 +1,7 @@
 import gc
+import io
+import os
+import sys
 import warnings
 
 import pytest
@@ -92,6 +95,22 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
 
 def test_missing_file_is_input_error(capsys):
     assert main(["solve", "/no/such/file.dmwc"]) == 2
+
+
+def test_closed_stdout_is_not_an_input_error(monkeypatch, capsys):
+    # as in `dmwc gen ... | true`, where the reader exits before gen writes
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["solve", "/no/such/file.dmwc"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["gen", "--n", "40", "--density", "0.5"]) == 141
+    assert capsys.readouterr().err == ""
+    # stdout now goes to devnull, so the flush at exit raises nothing
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
 
 
 def test_bad_flag_is_input_error(two_cycle_file):
@@ -310,7 +329,8 @@ def test_bad_ids_name_their_option_or_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         bad = argv[argv.index(where) + 1].replace(",", " ").split()[-1]
-        assert captured.err == f"error: {where}: {bad!r} is not an integer id\n"
+        assert captured.err.startswith("usage: dmwc ")
+        assert captured.err.endswith(f"error: argument {where}: {bad!r} is not an integer id\n")
     sol = tmp_path / "answer.txt"
     for text, bad in (("SOLUTION 2 3 z\n", "z"), ("3 0x4\n", "0x4")):
         sol.write_text(text)
@@ -383,7 +403,9 @@ def test_one_integer_rule_for_every_input(tmp_path, capsys, token):
         (seps + ["--source", "2", "--target", f"0,{token}", "--budget", "1"], "--target"),
         (["shadow", str(two), "--set", f"2,{token}"], "--set"),
     ):
-        assert rejected(argv) == f"error: {option}: {token!r} is not an integer id\n"
+        err = rejected(argv)
+        assert err.startswith("usage: dmwc ")
+        assert err.endswith(f"error: argument {option}: {token!r} is not an integer id\n")
 
     sol = tmp_path / "answer.txt"
     for text in (f"SOLUTION 2 2 {token}\n", f"3 {token}\n", f"SOLUTION {token} 2 3\n"):

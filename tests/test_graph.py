@@ -58,6 +58,14 @@ def test_reachable_sinks_and_errors():
         reachable_from(g, {9})
     with pytest.raises(ValueError):
         reachable_from(g, {0}, {0})
+    terms = frozenset({0, 2})
+    assert graph.connected_terminal(g, terms, ()) == 0
+    assert graph.connected_terminal(g, terms, {1}) is None
+    # out-of-range ids, and a terminal inside removed even after a terminal
+    # that reaches another, raise
+    for terminals, removed in (({0, 9}, ()), (terms, {9}), ({0, 2, 3}, {3})):
+        with pytest.raises(ValueError):
+            graph.connected_terminal(g, frozenset(terminals), removed)
 
 
 def test_reachable_monotone_in_removed():
