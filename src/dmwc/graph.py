@@ -186,7 +186,18 @@ def min_vertex_separator(
         raise ValueError("x and y must be non-empty")
     if xs & ys or gone & (xs | ys):
         raise ValueError("x, y and removed must be pairwise disjoint")
-    cuttable = g.deletable - xs - ys - gone
+    found = _max_flow(g, xs, ys, p, gone)
+    return None if found is None else found[0]
+
+
+def _max_flow(
+    g: Digraph, xs: frozenset[int], ys: frozenset[int], p: int, gone: frozenset[int]
+) -> tuple[frozenset[int], list[int]] | None:
+    """`min_vertex_separator` without its checks, which also returns the flow:
+    None, or (separator, through) where through[v] is the flow on v's split
+    arc.  The deletable vertices with through[v] > 0 carry the lambda paths,
+    no two of which share one."""
+    cuttable = g.deletable.difference(xs, ys, gone)
     # settle "no finite separator" in one search, not the loop's p + 1
     if _reach(g, xs, cuttable | gone) & ys:
         return None
@@ -248,4 +259,4 @@ def min_vertex_separator(
     )
     if len(separator) != value:
         raise RuntimeError("cut extraction disagrees with flow value")
-    return separator
+    return separator, through

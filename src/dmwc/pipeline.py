@@ -21,11 +21,20 @@ members inside its W, so it contains the shadow of the empty member
 whenever there is one.  A z1 that does not contain z1_0 would be a solver
 bug and raises RuntimeError.
 
-Before any family is built, one max-flow per terminal t, given the budget,
-answers NO when t has no t-(T - t) vertex separator within it, since every
-multiway cut is one.  By Menger's theorem, budget + 1 internally
-vertex-disjoint t-(T - t) paths certify that NO; a t-(T - t) path through
-undeletable vertices alone is the case where no separator exists at all.
+Before any family is built, a greedy packing of terminal paths answers NO
+when it holds q > budget paths, each from a terminal t to T - t, no two of
+which share a deletable vertex: a multiway cut holds a deletable vertex of
+every such path, so it has at least q vertices.  The packing is an integral
+solution of the dual of the path LP of Garg, Vazirani and Yannakakis (ICALP
+1994).  In one terminal order, each terminal adds the paths of a max-flow
+t -> T - t in G minus the deletable vertices that the earlier flows carried.
+The first flow of every order is lambda_t, the size of a minimum t-(T - t)
+separator, and a t-(T - t) path through undeletable vertices alone, which no
+cut can hit, is a NO at once.  Later flows run in subgraphs, so their values
+are at most lambda_t; when the lambda_t sum to at most the budget, no order
+can pass it and the packing stops there.  Otherwise it tries the 2k
+rotations of the sorted terminals and of their reverse, which are all k!
+orders for k <= 3 and keep the number of flows polynomial for larger k.
 
 Every answer is re-checked on the input instance before it is returned.  A
 failed check can only be a solver bug, so it raises RuntimeError rather than
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable
 
-from .graph import Digraph, Instance, min_vertex_separator, reachable_from
+from .graph import Digraph, Instance, _max_flow, reachable_from
 from .sampling import deterministic_sets
 from .separators import InnerBase
 from .torso import reduce_instance
@@ -102,19 +111,52 @@ def _second_stage(inst: Instance, z1: frozenset[int]) -> Instance:
     return Instance(g2, inst.terminals, inst.budget)
 
 
+def _packing_exceeds(inst: Instance) -> bool:
+    """A greedy packing holds more than budget terminal paths, no two of
+    which share a deletable vertex, so no cut exists (the module docstring
+    gives the packing and the orders it tries)."""
+    g, ts, p = inst.graph, inst.terminals, inst.budget
+    if len(ts) == 1:
+        return False
+    first = {}
+    for t in sorted(ts):
+        found = _max_flow(g, frozenset({t}), ts - {t}, p, frozenset())
+        if found is None:
+            return True
+        first[t] = found
+    if sum(len(sep) for sep, _ in first.values()) <= p:
+        return False
+    ring = sorted(ts)
+    orders = dict.fromkeys(
+        tuple(r[i:] + r[:i]) for r in (ring, ring[::-1]) for i in range(len(r))
+    )
+    for order in orders:
+        sep, through = first[order[0]]
+        total, gone = len(sep), frozenset(v for v in g.deletable if through[v])
+        for t in order[1:]:
+            found = _max_flow(g, frozenset({t}), ts - {t}, p - total, gone)
+            if found is None:
+                return True
+            sep, through = found
+            total += len(sep)
+            gone |= {v for v in g.deletable if through[v]}
+    return False
+
+
 def solve_vertex(inst: Instance, *, mode: str = "deterministic") -> Solution | None:
     """Feasible vertex multiway cut of size <= budget, or None.
 
     Branches over both candidate families, so None means no cut exists.  It
-    first answers None when a terminal t has no t-(T - t) separator of at
-    most budget vertices (the module docstring says why).
+    first answers None when a greedy packing holds more than budget terminal
+    paths, no two of which share a deletable vertex: q such paths are a
+    certificate that every cut has at least q vertices (the module docstring
+    gives the packing).
     `mode` stays for callers that name it; any value but "deterministic" raises.
     """
     if mode != "deterministic":
         raise ValueError(f"unknown mode {mode!r}")
-    for t in sorted(inst.terminals) if len(inst.terminals) > 1 else ():
-        if min_vertex_separator(inst.graph, {t}, inst.terminals - {t}, inst.budget) is None:
-            return None
+    if _packing_exceeds(inst):
+        return None
     tried: set[frozenset[int]] = set()
     base = InnerBase()  # filled by the first inner build, read by the others
     for z1 in deterministic_sets(inst):

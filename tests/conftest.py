@@ -4,6 +4,7 @@ from itertools import combinations
 
 from dmwc.graph import Digraph, min_vertex_separator, reachable_from
 from dmwc.oracle import generate_instance
+from dmwc.pipeline import _packing_exceeds
 from dmwc.rng import SplitMix64
 
 
@@ -70,8 +71,10 @@ def terminal_lambdas(inst):
 
 
 def bound_decides(inst):
-    """Menger's bound answers NO: some lambda_t is None or above the budget."""
-    return any(lam is None or lam > inst.budget for lam in terminal_lambdas(inst))
+    """The packing answers NO up front: some lambda_t is None, or a greedy
+    packing holds more than budget terminal paths, no two of which share a
+    deletable vertex (`dmwc.pipeline._packing_exceeds`)."""
+    return _packing_exceeds(inst)
 
 
 def subsets_upto(pool, size):

@@ -15,19 +15,18 @@ from dmwc.pipeline import solve_edge, solve_multicut_k2, solve_vertex
 CHECK = Path(__file__).resolve().parent.parent / "bench" / "check.py"
 
 # generate_instance(s, n, 2.5/n, 2, p) for n = 30 + 5s mod 11 and p = 2 + s mod 2;
-# Menger's bound decides seeds 0, 2, 4, 8, 14 and 18-21, and seeds 5, 6, 16 and
-# 23 are walked NOs that take 0.06-0.2 s each
+# the packing of terminal paths decides seeds 0, 2, 4, 6, 8, 14, 16, 18-21 and
+# 23, and seed 5 is a walked NO that takes 0.15 s
 SEEDS = tuple(range(24))
-# the same shapes with a fifth of the other vertices undeletable: the bound
-# decides seeds 0, 2, 4, 8, 14 and 17-21, and seeds 5, 6, 15, 16 and 23 are
-# walked NOs that take 0.02-0.21 s each
-UNDELETABLE_SEEDS = tuple(range(24))
+# the same shapes with a fifth of the other vertices undeletable: the packing
+# decides seeds 0, 2, 4-6, 8, 14-21 and 23, and seed 147 is a walked NO that
+# takes 0.17 s
+UNDELETABLE_SEEDS = tuple(range(24)) + (147,)
 # reference size, generate_instance(s, n, 2.5/n, 2, 2) for n = 45 + 5s mod 16:
-# seeds 0, 2, 18 and 20 are walked NOs that solve in 0.2-0.35 s each; seeds
-# 3, 5, 8, 9 and 19 are NOs decided by the bound (lambda = [3, 1], [1, 3],
-# [4, 3], [3, 1] and [3, 0]), and seed 15 is YES in 0.2 s
-REFERENCE_SEEDS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20)
-# edge files at n = 14 + s mod 7: Menger's bound decides most NOs, and no seed
+# the packing decides seeds 0-6, 8-10 and 18-20, seed 43 is a walked NO that
+# takes 0.12 s, and seed 15 is YES in 0.2 s
+REFERENCE_SEEDS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20, 43)
+# edge files at n = 14 + s mod 7: the packing decides all 20 NOs, and no seed
 # takes more than 0.04 s to solve
 REFERENCE_EDGE_SEEDS = range(24)
 
@@ -125,5 +124,6 @@ def test_checker_accepts_multicut2_answers():
 
 
 def test_checker_accepts_multicut2_answers_above_brute_force_size():
-    # n = 21..30; the walk decides all 7 NOs (seeds 2, 6, 8, 10, 14, 16 and 18)
+    # n = 21..30; the packing decides 6 of the 7 NOs, and the walk decides
+    # seed 10
     assert _multicut2_answers(lambda s: (21 + (s * 3) % 10, 1 + s % 2)) == {"yes", "no"}

@@ -156,11 +156,13 @@ def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_attempt", recording)
     answers = set()
-    for inst in small_instances(60, seed0=300):  # instance 52 is a walked NO
+    # the packing decides every NO of small_instances; the extra seed is a
+    # walked NO
+    for inst in small_instances(60, seed0=300) + [generate_instance(3277, 7, 0.3, 2, 2)]:
         attempted.clear()
         got = solve_vertex(inst)
         if bound_decides(inst):
-            # some lambda_t is None or above the budget: NO up front
+            # the packing of terminal paths passes the budget: NO up front
             assert got is None and attempted == []
             answers.add("bound")
             continue
@@ -210,9 +212,56 @@ def test_lambda_above_budget_is_no_up_front(monkeypatch):
     assert solve_multicut_k2(mc, [(0, 1), (2, 3)], 1) is None
 
 
+def test_packing_above_budget_is_no_up_front(monkeypatch):
+    # every lambda_t <= p, but the packing of terminal paths passes p
+    from dmwc import pipeline
+
+    def unreachable(*args):
+        raise AssertionError("a candidate family was built")
+
+    monkeypatch.setattr(pipeline, "deterministic_sets", unreachable)
+    for seed, n, p in ((0, 45, 2), (25, 40, 3)):
+        inst = generate_instance(seed, n, 2.5 / n, 2, p)
+        assert terminal_lambdas(inst) == [2, 2]
+        assert solve_vertex(inst) is None
+    # an edge two-cycle; its subdivision has one path each way, and each
+    # avoids the other's subdivision vertex
+    two = Instance(Digraph(2, [(0, 1), (1, 0)], {0, 1}), {0, 1}, 1)
+    subdivided = Digraph(4, [(0, 2), (2, 1), (1, 3), (3, 0)], {0, 1})
+    assert terminal_lambdas(Instance(subdivided, {0, 1}, 1)) == [1, 1]
+    assert brute_edge(two.graph, two.terminals, 1) is None
+    assert solve_edge(two) is None
+    # two request pairs on disjoint edges: the gadget's s = 4 and t = 5 each
+    # have one path, through the other pair's endpoints
+    mc = Digraph(4, [(0, 1), (2, 3)])
+    gadget = Digraph(6, [(0, 1), (2, 3), (4, 0), (1, 5), (5, 2), (3, 4)], {4, 5})
+    assert terminal_lambdas(Instance(gadget, {4, 5}, 1)) == [1, 1]
+    assert brute_multicut(mc, [(0, 1), (2, 3)], 1) is None
+    assert solve_multicut_k2(mc, [(0, 1), (2, 3)], 1) is None
+
+
+def test_packing_never_answers_no_when_a_cut_exists():
+    # q terminal paths, no two sharing a deletable vertex, force q cut vertices
+    from dmwc.pipeline import _packing_exceeds
+
+    decided = cuts = 0
+    for i in range(1600):
+        n, p = 5 + i % 6, i % 4
+        inst = generate_instance(7000 + i, n, 0.1 + 0.05 * (i % 5), 2 + i % 2, p,
+                                 0.2 if i % 3 == 0 else 0.0)
+        exceeds = _packing_exceeds(inst)
+        if brute_force_mwc(inst) is not None:
+            assert not exceeds, i
+            cuts += 1
+        decided += exceeds
+    assert decided > 900 and cuts > 500
+
+
 def test_walked_no_and_single_terminal_still_run_the_families(built):
-    inst = generate_instance(0, 45, 2.5 / 45, 2, 2)
-    assert terminal_lambdas(inst) == [2, 2]  # every lambda_t <= p
+    inst = generate_instance(3277, 7, 0.3, 2, 2)
+    # every lambda_t <= p and their sum passes p, but no order of the packing does
+    assert terminal_lambdas(inst) == [2, 2] and not bound_decides(inst)
+    assert brute_force_mwc(inst) is None
     assert solve_vertex(inst) is None and built
     # one terminal: no t-(T - t) flow to run, and nothing to cut
     lone = Instance(Digraph(3, [(0, 1), (1, 2)], {0}), {0}, 0)
@@ -326,18 +375,19 @@ def test_multicut_agrees_with_brute_force():
 @pytest.mark.parametrize("bound", [True, False], ids=["bound", "walk-only"])
 def test_loops_and_repeated_edges_keep_every_answer(built, monkeypatch, bound):
     # self-loops and parallel edges are legal in every file kind; each kind
-    # must still agree with its brute force, on YES, on NO by Menger's bound
-    # and on NO after walking the candidate families.  With the bound off
-    # (every lambda_t read as 0; `_impsep` binds its own flow) the walk alone
-    # must answer the NOs the bound would decide
+    # must still agree with its brute force, on YES, on NO by the packing of
+    # terminal paths and on NO after walking the candidate families.  With
+    # the packing off the walk alone must answer the NOs it would decide.
+    # Each kind's last instance is a walked NO, which the small corpora lack
     if not bound:
-        monkeypatch.setattr("dmwc.pipeline.min_vertex_separator", lambda *args: frozenset())
+        monkeypatch.setattr("dmwc.pipeline._packing_exceeds", lambda inst: False)
 
     def answer(got):
         return "yes" if got is not None else "walked no" if built else "bound no"
 
     vertex = set()
-    for inst in small_instances(80, seed0=300, max_n=9, max_p=2):
+    walked = generate_instance(3277, 7, 0.3, 2, 2)
+    for inst in small_instances(80, seed0=300, max_n=9, max_p=2) + [walked]:
         g = with_loops_and_repeats(inst.graph)
         inst = Instance(g, inst.terminals, inst.budget)
         built.clear()
@@ -346,18 +396,21 @@ def test_loops_and_repeated_edges_keep_every_answer(built, monkeypatch, bound):
         assert (not built) == (bound and bound_decides(inst)), inst  # the rule, and only it
         vertex.add(answer(got))
     edge = set()
-    for inst in small_instances(80, seed0=700, max_n=7, max_p=2):
+    walked = generate_instance(2875, 8, 0.25, 2, 2)
+    for inst in small_instances(80, seed0=700, max_n=7, max_p=2) + [walked]:
         g = with_loops_and_repeats(inst.graph)
         built.clear()
         got = solve_edge(Instance(g, inst.terminals, inst.budget))
         assert (got is None) == (brute_edge(g, inst.terminals, inst.budget) is None), inst
         edge.add(answer(got))
     multicut = set()
-    for i in range(80):
-        g = with_loops_and_repeats(
-            random_digraph(9500 + i, 4 + i % 5, 0.25, 0.1 if i % 4 == 0 else 0.0)
-        )
-        pairs, p = [(0, 1), (2, 3)], i % 3
+    cases = [
+        (random_digraph(9500 + i, 4 + i % 5, 0.25, 0.1 if i % 4 == 0 else 0.0), i % 3)
+        for i in range(80)
+    ]
+    for i, (g, p) in enumerate(cases + [(random_digraph(721, 5, 0.3), 1)]):
+        g = with_loops_and_repeats(g)
+        pairs = [(0, 1), (2, 3)]
         built.clear()
         got = solve_multicut_k2(g, pairs, p)
         assert (got is None) == (brute_multicut(g, pairs, p) is None), i
