@@ -1,25 +1,13 @@
 """End-to-end solver for directed multiway cut, plus the edge/vertex and
 two-pair multicut reductions.
 
-The solver branches over deterministic candidate removal sets: an outer
-family for the original graph, and for each outer choice an inner family for
-the reversed graph where the chosen vertices have been made undeletable.
-Each combined choice z is removed by the torso reduction: one symmetric graph
-on the input's own vertex ids, with z left isolated.  The undirected
-sub-solver's cut of it needs no mapping back; the first answer (in family
-order) wins.  Distinct combined choices are attempted once and memoized,
-since the reduced instance depends only on their union.
-
-The inner instances of one solve differ only in their undeletable set, so
-the inner build for the first outer choice z1_0 is kept as the base
-(`separators.InnerBase`) and every later inner build re-enumerates only the
-witnesses of base separators that meet z1 - z1_0; the `separators` module
-docstring proves that the others keep their important separators.  The base
-is valid because every later z1 contains z1_0: the outer family's first set
-W is empty, and each z1 is the union of the shadows of the collection
-members inside its W, so it contains the shadow of the empty member
-whenever there is one.  A z1 that does not contain z1_0 would be a solver
-bug and raises RuntimeError.
+The solver walks the deterministic candidate sets of `sampling.candidates`:
+an outer family for the original graph, and for each outer choice an inner
+family for the reversed graph where the chosen vertices have been made
+undeletable.  Each distinct combined choice z is removed by the torso
+reduction: one symmetric graph on the input's own vertex ids, with z left
+isolated.  The undirected sub-solver's cut of it needs no mapping back; the
+first answer (in family order) wins.
 
 Before any family is built, a greedy packing of terminal paths answers NO
 when it holds q > budget paths, each from a terminal t to T - t, no two of
@@ -44,12 +32,10 @@ being reported as no solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable
 
-from .graph import Digraph, Instance, _max_flow, reachable_from
-from .sampling import deterministic_sets
-from .separators import InnerBase
+from .graph import Digraph, Instance, _max_flow, connected_terminal, reachable_from
+from .sampling import candidates
 from .torso import reduce_instance
 from .undirected import solve_undirected
 
@@ -64,9 +50,12 @@ class Solution:
 
 
 def verify_solution(inst: Instance, s: Iterable[int]) -> bool:
-    """s is a multicut of every ordered terminal pair: deletable vertices
-    only, within budget, and no terminal reaches another."""
-    return verify_multicut(inst.graph, permutations(inst.terminals, 2), inst.budget, s)
+    """s is a multiway cut: deletable vertices only, within budget, and no
+    terminal reaches another."""
+    g, cut = inst.graph, frozenset(s)
+    if not cut <= g.deletable or len(cut) > inst.budget:
+        return False
+    return connected_terminal(g, inst.terminals, cut) is None
 
 
 def verify_edge_cut(inst: Instance, edges: Iterable[int]) -> bool:
@@ -105,12 +94,6 @@ def _attempt(inst: Instance, z: frozenset[int]) -> Solution | None:
     return Solution(vertices=cut)
 
 
-def _second_stage(inst: Instance, z1: frozenset[int]) -> Instance:
-    g = inst.graph
-    g2 = Digraph(g.vertex_count, [(v, u) for u, v in g.edges], g.infinite | z1)
-    return Instance(g2, inst.terminals, inst.budget)
-
-
 def _packing_exceeds(inst: Instance) -> bool:
     """A greedy packing holds more than budget terminal paths, no two of
     which share a deletable vertex, so no cut exists (the module docstring
@@ -146,28 +129,21 @@ def _packing_exceeds(inst: Instance) -> bool:
 def solve_vertex(inst: Instance, *, mode: str = "deterministic") -> Solution | None:
     """Feasible vertex multiway cut of size <= budget, or None.
 
-    Branches over both candidate families, so None means no cut exists.  It
-    first answers None when a greedy packing holds more than budget terminal
-    paths, no two of which share a deletable vertex: q such paths are a
-    certificate that every cut has at least q vertices (the module docstring
-    gives the packing).
+    Walks every candidate of `sampling.candidates`, so None means no cut
+    exists.  It first answers None when a greedy packing holds more than
+    budget terminal paths, no two of which share a deletable vertex: q such
+    paths are a certificate that every cut has at least q vertices (the
+    module docstring gives the packing).
     `mode` stays for callers that name it; any value but "deterministic" raises.
     """
     if mode != "deterministic":
         raise ValueError(f"unknown mode {mode!r}")
     if _packing_exceeds(inst):
         return None
-    tried: set[frozenset[int]] = set()
-    base = InnerBase()  # filled by the first inner build, read by the others
-    for z1 in deterministic_sets(inst):
-        # the inner family depends on z1 through the enlarged undeletable set
-        for z2 in deterministic_sets(_second_stage(inst, z1), base):
-            z = z1 | z2
-            if z not in tried:
-                tried.add(z)
-                sol = _attempt(inst, z)
-                if sol is not None:
-                    return sol
+    for z in candidates(inst):
+        sol = _attempt(inst, z)
+        if sol is not None:
+            return sol
     return None
 
 

@@ -1,4 +1,5 @@
-"""Candidate sets: the deterministic family over exact reverse shadows.
+"""Candidate sets: the deterministic family over exact reverse shadows, and
+the two-stage walk over it.
 
 The family reads the shadows of `build_collection`, which maps each important
 witness-T separator S of size at most p (a collection member) to its witness
@@ -18,36 +19,71 @@ are exactly the members inside W, the union of those members, and
 |W| <= |S| <= p.  So walking the unions of members that have at most p
 vertices, rather than every small S, reaches every selection the coverage
 guarantee needs.
+
+`candidates` walks two stages: an outer family for the original graph, and
+for each outer choice z1, built only when the walk reaches it, an inner
+family for the reversed graph with z1 made undeletable.  The inner build for
+the first z1, z1_0, is the base of every later one (the `separators` module
+docstring says what a build reuses from its base).  That is valid because
+every later z1 contains z1_0: the outer family's first set W is empty, and
+each z1 is the union of the shadows of the collection members inside its W,
+so it contains the shadow of the empty member whenever there is one.  A z1
+that does not contain z1_0 would be a solver bug, and `build_collection`
+raises RuntimeError for it.
 """
 
 from __future__ import annotations
 
-from .graph import Instance
-from .separators import InnerBase, build_collection, canonical_order
+from typing import Iterator
+
+from .graph import Digraph, Instance
+from .separators import build_collection, canonical_order
 
 
 def deterministic_sets(
-    inst: Instance, base: InnerBase | None = None
+    shadows: dict[frozenset[int], frozenset[int]], budget: int
 ) -> tuple[frozenset[int], ...]:
-    """Deterministic candidate family covering every (thin S, Y) pair.
+    """Deterministic candidate family covering every (thin S, Y) pair, from
+    the `build_collection` result `shadows` of an instance with this budget.
 
     The sets W are the closure of {emptyset} under union with a collection
-    member, kept to at most p vertices; the module docstring says why they
-    suffice.  They are visited in canonical (size, then lexicographic) order
-    and each distinct union of the shadows of the members inside W is kept at
-    its first W.  A walk over every deletable S of at most p vertices in that
-    order gives the same output: the W of any S holds the same members and
-    is a subset of S, so it comes no later.  `base` goes to
-    `build_collection`, and the family does not depend on it.
+    member, kept to at most `budget` vertices; the module docstring says why
+    they suffice.  They are visited in canonical (size, then lexicographic)
+    order and each distinct union of the shadows of the members inside W is
+    kept at its first W.  A walk over every deletable S of at most `budget`
+    vertices in that order gives the same output: the W of any S holds the
+    same members and is a subset of S, so it comes no later.
     """
-    shadows = build_collection(inst, base)
     # after each member, closure holds every union of members so far with at
-    # most p vertices: one that takes this member joins it to a union of the
-    # others, which is no larger, so that union is already in closure
+    # most budget vertices: one that takes this member joins it to a union of
+    # the others, which is no larger, so that union is already in closure
     closure = {frozenset()}
     for members in shadows:
-        closure |= {u for w in closure if len(u := w | members) <= inst.budget}
+        closure |= {u for w in closure if len(u := w | members) <= budget}
     return tuple(dict.fromkeys(
         frozenset().union(*[z for m, z in shadows.items() if m <= w])
         for w in sorted(closure, key=canonical_order)
     ))
+
+
+def _second_stage(inst: Instance, z1: frozenset[int]) -> Instance:
+    g = inst.graph
+    g2 = Digraph(g.vertex_count, [(v, u) for u, v in g.edges], g.infinite | z1)
+    return Instance(g2, inst.terminals, inst.budget)
+
+
+def candidates(inst: Instance) -> Iterator[frozenset[int]]:
+    """Each distinct combined choice z1 | z2 once, in family order: the torso
+    reduction depends only on the union.  The module docstring gives the
+    walk and its reuse."""
+    tried: set[frozenset[int]] = set()
+    base = None
+    for z1 in deterministic_sets(build_collection(inst), inst.budget):
+        inner = _second_stage(inst, z1)
+        shadows = build_collection(inner, base)
+        base = base or (inner, shadows)
+        for z2 in deterministic_sets(shadows, inst.budget):
+            z = z1 | z2
+            if z not in tried:
+                tried.add(z)
+                yield z

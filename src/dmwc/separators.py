@@ -16,9 +16,9 @@ non-minimal or non-important candidate loses to some candidate, while an
 important one never does.  The definitional checks (`is_important`,
 `is_minimal_separator`) live in `shadows` as references for the tests.
 
-`build_collection` can reuse an earlier build of the same graph, terminals
-and budget under a smaller undeletable set U0 (an `InnerBase`).  Let U be
-the larger set, A = U - U0, and fix a witness v none of whose important v-T
+`build_collection` can reuse an earlier build, the base, of the same graph,
+terminals and budget under a smaller undeletable set U0.  Let U be the
+larger set, A = U - U0, and fix a witness v none of whose important v-T
 separators of at most p vertices under U0 meets A.  Each of them avoids U,
 so it is still a separator, and still important, as U only removes
 competitors.  An important S' under U is a separator under U0, so by that
@@ -84,22 +84,9 @@ def _impsep(
     return out
 
 
-class InnerBase:
-    """The first build that `build_collection` is handed with this record:
-    its instance and the collection it returned, which says per witness
-    what a later build may reuse (the module docstring says why).  Every
-    later build must be of the same graph, terminals and budget with an
-    undeletable set that contains the first one's."""
-
-    __slots__ = ("instance", "collection")
-
-    def __init__(self) -> None:
-        self.instance: Instance | None = None
-        self.collection: dict[frozenset[int], frozenset[int]] = {}
-
-
 def build_collection(
-    inst: Instance, base: InnerBase | None = None
+    inst: Instance,
+    base: tuple[Instance, dict[frozenset[int], frozenset[int]]] | None = None,
 ) -> dict[frozenset[int], frozenset[int]]:
     """Important v-T separators of size <= budget over all witnesses v not in
     T: each separator, in canonical order, with the set of witnesses it is
@@ -109,18 +96,19 @@ def build_collection(
     separator never contains v itself, so nothing stops an undeletable v
     from being separated from T.
 
-    An empty `base` records this build.  A filled one supplies every witness
-    none of whose base separators meets the vertices this instance made
-    undeletable beyond the base's; the others are enumerated again.  The
-    result is the same as without `base`.  An instance that is not the
-    base's with a larger undeletable set raises RuntimeError.
+    `base` is an earlier build, as its instance and the collection it
+    returned.  It supplies every witness none of whose base separators meets
+    the vertices this instance made undeletable beyond the base's; the
+    others are enumerated again.  The result is the same as without `base`,
+    and `base` is only read.  An instance that is not the base's with a
+    larger undeletable set raises RuntimeError.
     """
     g = inst.graph
     terms = inst.terminals
     todo = set(g.vertices()) - terms
     acc: dict[frozenset[int], set[int]] = {}
-    if base is not None and base.instance is not None:
-        old = base.instance
+    if base is not None:
+        old, collection = base
         if (
             (old.terminals, old.budget, old.graph.vertex_count, old.graph.edges)
             != (terms, inst.budget, g.vertex_count, g.edges)
@@ -128,12 +116,9 @@ def build_collection(
         ):
             raise RuntimeError("inner build is not the base with more undeletables")
         added = g.infinite - old.graph.infinite
-        todo = set().union(*[ws for s, ws in base.collection.items() if s & added])
-        acc = {s: set(ws - todo) for s, ws in base.collection.items()}
+        todo = set().union(*[ws for s, ws in collection.items() if s & added])
+        acc = {s: set(ws - todo) for s, ws in collection.items()}
     for v in sorted(todo):
         for sep in enumerate_important(g, {v}, terms, inst.budget):
             acc.setdefault(sep, set()).add(v)
-    out = {s: frozenset(acc[s]) for s in sorted(acc, key=canonical_order) if acc[s]}
-    if base is not None and base.instance is None:
-        base.instance, base.collection = inst, out
-    return out
+    return {s: frozenset(acc[s]) for s in sorted(acc, key=canonical_order) if acc[s]}

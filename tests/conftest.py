@@ -1,11 +1,14 @@
 """Shared corpus helpers for the test suite."""
 
+from functools import cache
 from itertools import combinations
 
 from dmwc.graph import Digraph, min_vertex_separator, reachable_from
-from dmwc.oracle import generate_instance
+from dmwc.oracle import brute_force_mwc, generate_instance
 from dmwc.pipeline import _packing_exceeds
 from dmwc.rng import SplitMix64
+from dmwc.sampling import deterministic_sets
+from dmwc.separators import build_collection
 
 
 def random_digraph(seed, n, density, inf_frac=0.0):
@@ -75,6 +78,23 @@ def bound_decides(inst):
     packing holds more than budget terminal paths, no two of which share a
     deletable vertex (`dmwc.pipeline._packing_exceeds`)."""
     return _packing_exceeds(inst)
+
+
+@cache
+def walked_nos():
+    """The seeded generator instances (n = 6..10, k = p = 2, seeds below
+    3000) that the packing leaves to the walk and that have no cut: the
+    walk alone must answer NO on each."""
+    shapes = (generate_instance(s, 6 + s % 5, 0.3, 2, 2) for s in range(3000))
+    return tuple(
+        inst for inst in shapes
+        if not _packing_exceeds(inst) and brute_force_mwc(inst) is None
+    )
+
+
+def family_of(inst):
+    """The candidate family of one instance, from a fresh collection build."""
+    return deterministic_sets(build_collection(inst), inst.budget)
 
 
 def subsets_upto(pool, size):

@@ -145,7 +145,7 @@ def test_criterion_06_deterministic_sampling_coverage(capsys):
         inst = generate_instance(6000 + i, 5 + i % 5, 0.2 + 0.04 * (i % 4), 2, i % 3)
         g = inst.graph
         collection = build_collection(inst)
-        family = list(deterministic_sets(inst))
+        family = deterministic_sets(collection, inst.budget)
         pool = sorted(g.deletable - inst.terminals)
         for s in subsets_upto(pool, inst.budget):
             if not is_thin(g, inst.terminals, s):

@@ -7,9 +7,11 @@ from conftest import (
     bound_decides,
     brute_edge,
     brute_multicut,
+    family_of,
     random_digraph,
     small_instances,
     terminal_lambdas,
+    walked_nos,
     with_loops_and_repeats,
 )
 from dmwc.fixtures import hub_fan, two_cycle
@@ -28,16 +30,16 @@ from dmwc.pipeline import (
 @pytest.fixture
 def built(monkeypatch):
     """Arguments of every candidate family the solver builds, in order."""
-    from dmwc import pipeline
+    from dmwc import sampling
 
     calls = []
-    real = pipeline.deterministic_sets
+    real = sampling.deterministic_sets
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(pipeline, "deterministic_sets", counting)
+    monkeypatch.setattr(sampling, "deterministic_sets", counting)
     return calls
 
 
@@ -145,7 +147,7 @@ def test_failed_reduction_check_raises(monkeypatch):
 
 def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
     from dmwc import pipeline
-    from dmwc.sampling import deterministic_sets
+    from dmwc.sampling import _second_stage
 
     attempted = []
     attempt = pipeline._attempt
@@ -156,9 +158,10 @@ def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_attempt", recording)
     answers = set()
-    # the packing decides every NO of small_instances; the extra seed is a
-    # walked NO
-    for inst in small_instances(60, seed0=300) + [generate_instance(3277, 7, 0.3, 2, 2)]:
+    # the packing decides every NO of small_instances; the extra seeds are
+    # walked NOs
+    walked = [generate_instance(3277, 7, 0.3, 2, 2), *walked_nos()]
+    for inst in small_instances(60, seed0=300) + walked:
         attempted.clear()
         got = solve_vertex(inst)
         if bound_decides(inst):
@@ -169,8 +172,8 @@ def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
         answers.add(got is None)
         order = list(dict.fromkeys(
             z1 | z2
-            for z1 in deterministic_sets(inst)
-            for z2 in deterministic_sets(pipeline._second_stage(inst, z1))
+            for z1 in family_of(inst)
+            for z2 in family_of(_second_stage(inst, z1))
         ))
         # a NO tries every distinct choice; a YES stops at the one that solved
         assert attempted == (order if got is None else order[:len(attempted)])
@@ -179,12 +182,12 @@ def test_each_combined_choice_is_attempted_once_in_family_order(monkeypatch):
 
 def test_terminals_joined_through_undeletable_vertices_are_no_up_front(monkeypatch):
     # generate_instance(11, 40, ...) has the edge 13 -> 38 between its terminals
-    from dmwc import pipeline
+    from dmwc import sampling
 
     def unreachable(*args):
         raise AssertionError("a candidate family was built")
 
-    monkeypatch.setattr(pipeline, "deterministic_sets", unreachable)
+    monkeypatch.setattr(sampling, "deterministic_sets", unreachable)
     for p in (3, 4):
         inst = generate_instance(11, 40, 2.5 / 40, 2, p)
         assert solve_vertex(inst) is None
@@ -192,12 +195,12 @@ def test_terminals_joined_through_undeletable_vertices_are_no_up_front(monkeypat
 
 def test_lambda_above_budget_is_no_up_front(monkeypatch):
     # every multiway cut separates t from T - t, so lambda_t > p is a NO
-    from dmwc import pipeline
+    from dmwc import sampling
 
     def unreachable(*args):
         raise AssertionError("a candidate family was built")
 
-    monkeypatch.setattr(pipeline, "deterministic_sets", unreachable)
+    monkeypatch.setattr(sampling, "deterministic_sets", unreachable)
     inst = generate_instance(18, 40, 2.5 / 40, 2, 3)
     assert terminal_lambdas(inst) == [1, 4]
     assert solve_vertex(inst) is None
@@ -214,12 +217,12 @@ def test_lambda_above_budget_is_no_up_front(monkeypatch):
 
 def test_packing_above_budget_is_no_up_front(monkeypatch):
     # every lambda_t <= p, but the packing of terminal paths passes p
-    from dmwc import pipeline
+    from dmwc import sampling
 
     def unreachable(*args):
         raise AssertionError("a candidate family was built")
 
-    monkeypatch.setattr(pipeline, "deterministic_sets", unreachable)
+    monkeypatch.setattr(sampling, "deterministic_sets", unreachable)
     for seed, n, p in ((0, 45, 2), (25, 40, 3)):
         inst = generate_instance(seed, n, 2.5 / n, 2, p)
         assert terminal_lambdas(inst) == [2, 2]
@@ -263,6 +266,10 @@ def test_walked_no_and_single_terminal_still_run_the_families(built):
     assert terminal_lambdas(inst) == [2, 2] and not bound_decides(inst)
     assert brute_force_mwc(inst) is None
     assert solve_vertex(inst) is None and built
+    assert len(walked_nos()) == 10
+    for inst in walked_nos():
+        built.clear()
+        assert solve_vertex(inst) is None and built
     # one terminal: no t-(T - t) flow to run, and nothing to cut
     lone = Instance(Digraph(3, [(0, 1), (1, 2)], {0}), {0}, 0)
     assert terminal_lambdas(lone) == []

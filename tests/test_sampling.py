@@ -1,12 +1,12 @@
 from itertools import combinations
 
-from conftest import random_digraph, subsets_upto
+from conftest import family_of, random_digraph, subsets_upto
 from dmwc import sampling
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance
 from dmwc.oracle import generate_instance
-from dmwc.pipeline import _second_stage
-from dmwc.sampling import deterministic_sets
+from dmwc.pipeline import solve_vertex
+from dmwc.sampling import _second_stage, candidates
 from dmwc.separators import build_collection
 from dmwc.shadows import is_thin, shadow
 
@@ -26,16 +26,16 @@ def test_shadow_universe_hub_fan():
 def test_deterministic_family_trivial_cases():
     g = Digraph(2, [(0, 1)], {0, 1})
     inst = Instance(g, frozenset({0, 1}), 2)
-    family = deterministic_sets(inst)
+    family = family_of(inst)
     assert list(family) == [frozenset()]
     fx = hub_fan(3, 2)
-    for z in deterministic_sets(fx.instance):
+    for z in family_of(fx.instance):
         assert not z & fx.instance.terminals
 
 
 def test_deterministic_family_hits_required_selection():
     fx = hub_fan(3, 2, budget=1)
-    family = deterministic_sets(fx.instance)
+    family = family_of(fx.instance)
     assert any(
         fx.b(1) in z and fx.a(1) not in z for z in family
     )  # pair S={a1}, Y={b1}
@@ -44,14 +44,14 @@ def test_deterministic_family_hits_required_selection():
 def test_candidates_are_shadow_unions():
     fx = hub_fan(3, 2)
     shadows = set(build_collection(fx.instance).values())
-    for z in deterministic_sets(fx.instance):
+    for z in family_of(fx.instance):
         assert z == frozenset().union(*[y for y in shadows if y <= z])
 
 
 def test_deterministic_family_is_stable():
     fx = hub_fan(3, 2)
-    a = deterministic_sets(fx.instance)
-    b = deterministic_sets(fx.instance)
+    a = family_of(fx.instance)
+    b = family_of(fx.instance)
     assert a == b
     assert len(set(a)) == len(a)
 
@@ -84,24 +84,58 @@ def test_union_closure_matches_reference_walk():
         inst = generate_instance(
             7000 + i, n, 2.5 / n + 0.05 * (i % 3), 2 + i % 2, i % 4, 0.1 * (i % 2)
         )
-        family = deterministic_sets(inst)
+        family = family_of(inst)
         assert family == _reference_family(inst), i
         inner = _second_stage(inst, family[-1])
-        assert deterministic_sets(inner) == _reference_family(inner), (i, "second stage")
+        assert family_of(inner) == _reference_family(inner), (i, "second stage")
+
+
+def _count_builds(monkeypatch):
+    """Instances of every collection build and z1 of every inner instance
+    that the walk makes, in order."""
+    builds, reached = [], []
+    real_stage = sampling._second_stage
+
+    def counting_build(inst, base=None):
+        builds.append(inst)
+        return build_collection(inst, base)
+
+    def counting_stage(inst, z1):
+        reached.append(z1)
+        return real_stage(inst, z1)
+
+    monkeypatch.setattr(sampling, "build_collection", counting_build)
+    monkeypatch.setattr(sampling, "_second_stage", counting_stage)
+    return builds, reached
 
 
 def test_one_collection_build_per_family(monkeypatch):
-    calls = []
+    builds, _ = _count_builds(monkeypatch)
+    families = []
+    real = sampling.deterministic_sets
 
-    def counting(inst, base=None):
-        calls.append(inst)
-        return build_collection(inst, base)
+    def counting(shadows, budget):
+        families.append(shadows)
+        return real(shadows, budget)
 
-    monkeypatch.setattr(sampling, "build_collection", counting)
-    fx = hub_fan(3, 2)
-    family = deterministic_sets(fx.instance)
-    assert len(calls) == 1
-    assert len(family) > 1
+    monkeypatch.setattr(sampling, "deterministic_sets", counting)
+    walk = list(candidates(generate_instance(17, 20, 2.5 / 20, 2, 2)))
+    assert len(builds) == len(families) > 1
+    assert len(walk) > 1
+
+
+def test_a_yes_builds_only_the_inner_families_it_reaches(monkeypatch):
+    # the walk stops at the candidate that solves the instance: one build for
+    # the outer family, then one per z1 reached, never one per outer z1
+    cases = [hub_fan(3, 2).instance, generate_instance(17, 20, 2.5 / 20, 2, 2)]
+    outer = [family_of(inst) for inst in cases]
+    builds, reached = _count_builds(monkeypatch)
+    for inst, z1s, stop in zip(cases, outer, (1, 5)):
+        builds.clear()
+        reached.clear()
+        assert solve_vertex(inst) is not None
+        assert reached == list(z1s[:stop]) and len(z1s) > stop
+        assert len(builds) == 1 + stop
 
 
 def _coverage_pairs(inst):
@@ -122,7 +156,7 @@ def test_deterministic_coverage_on_random_instances():
     for seed in range(12):
         g = Digraph(7, random_digraph(seed, 7, 0.3).edges, {0, 1})
         inst = Instance(g, frozenset({0, 1}), 2)
-        family = list(deterministic_sets(inst))
+        family = family_of(inst)
         for s, y in _coverage_pairs(inst):
             assert any(not s & z and y <= z for z in family), (seed, s, y)
 

@@ -2,16 +2,15 @@ from itertools import permutations
 
 import pytest
 
-from conftest import minus, random_digraph, symmetric, with_loops_and_repeats
+from conftest import family_of, minus, random_digraph, symmetric, with_loops_and_repeats
 from dmwc import separators
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance, min_vertex_separator, reachable_from
 from dmwc.oracle import brute_force_important, generate_instance
 from dmwc.rng import SplitMix64
-from dmwc.pipeline import _second_stage
-from dmwc.sampling import deterministic_sets
+from dmwc.sampling import _second_stage
 from dmwc.undirected import solve_undirected
-from dmwc.separators import InnerBase, build_collection, enumerate_important
+from dmwc.separators import build_collection, enumerate_important
 from dmwc.shadows import is_important, is_minimal_separator, is_separator
 
 PATH = Digraph(4, [(0, 1), (1, 2), (2, 3)], {0, 3})  # x=0, a=1, b=2, y=3
@@ -285,22 +284,24 @@ def test_reused_inner_collection_equals_a_fresh_build(monkeypatch):
     )
     reused = changed = 0
     for inst in vertex + gadgets:
-        base = InnerBase()
-        for z1 in deterministic_sets(inst):
+        base = None
+        for z1 in family_of(inst):
             inner = _second_stage(inst, z1)
-            first = base.instance is None
             sources.clear()
             got = build_collection(inner, base)
-            if not first:
+            if base is None:
+                base = (inner, got)
+            else:
                 # exactly the witnesses of base separators that meet the added
                 # undeletables are enumerated again, each once
-                added = inner.graph.infinite - base.instance.graph.infinite
-                redo = set().union(*[ws for s, ws in base.collection.items() if s & added])
+                old, collection = base
+                added = inner.graph.infinite - old.graph.infinite
+                redo = set().union(*[ws for s, ws in collection.items() if s & added])
                 assert sorted(sources) == sorted(redo)
                 reused += len(set(inner.graph.vertices()) - inst.terminals - redo)
                 changed += sum(
                     [s for s, ws in got.items() if v in ws]
-                    != [s for s, ws in base.collection.items() if v in ws]
+                    != [s for s, ws in collection.items() if v in ws]
                     for v in redo
                 )
             assert list(got.items()) == list(build_collection(inner).items())
@@ -311,11 +312,28 @@ def test_reused_inner_collection_equals_a_fresh_build(monkeypatch):
 
 def test_reuse_rejects_an_inner_build_that_does_not_extend_the_base():
     inst = generate_instance(1, 14, 2.5 / 14, 2, 2)
-    z1_0, z1 = deterministic_sets(inst)[:2]  # z1_0 is a proper subset of z1
-    base = InnerBase()
-    build_collection(_second_stage(inst, z1), base)
+    z1_0, z1 = family_of(inst)[:2]  # z1_0 is a proper subset of z1
+    inner = _second_stage(inst, z1)
+    base = (inner, build_collection(inner))
     with pytest.raises(RuntimeError, match="more undeletables"):
         build_collection(_second_stage(inst, z1_0), base)
     other_budget = Instance(_second_stage(inst, z1).graph, inst.terminals, 3)
     with pytest.raises(RuntimeError, match="more undeletables"):
         build_collection(other_budget, base)
+
+
+def test_a_reused_build_leaves_its_base_unchanged():
+    changed = 0
+    for s in range(20):
+        inst = generate_instance(s, 20 + 3 * s % 11, 2.5 / 20, 2, 2 + s % 2)
+        z1_0, *later = family_of(inst)
+        first = _second_stage(inst, z1_0)
+        collection = build_collection(first)
+        kept = list(collection.items())
+        for z1 in later:
+            got = build_collection(_second_stage(inst, z1), (first, collection))
+            changed += got != collection
+            assert list(collection.items()) == kept
+            assert first == _second_stage(inst, z1_0)
+    # some later builds differ from the base, so they did not return it as is
+    assert changed

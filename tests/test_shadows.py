@@ -1,11 +1,10 @@
 import pytest
 
-from conftest import random_digraph, subsets_upto, symmetric
+from conftest import family_of, random_digraph, subsets_upto, symmetric
 from dmwc.fixtures import hub_fan, two_cycle
 from dmwc.graph import Digraph, Instance, reachable_from, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
-from dmwc.pipeline import _second_stage
-from dmwc.sampling import deterministic_sets
+from dmwc.sampling import _second_stage
 from dmwc.separators import build_collection
 from dmwc.shadows import is_important, is_shadowless, is_thin, shadow
 
@@ -121,7 +120,7 @@ def _transfer_instances():
     for seed in range(20):
         inst = generate_instance(seed, 14, 0.18, 2 + seed % 2, 3, 0.15)
         yield inst
-        for z1 in list(deterministic_sets(inst))[:3]:
+        for z1 in family_of(inst)[:3]:
             yield _second_stage(inst, z1)
 
 
