@@ -4,9 +4,13 @@ A separator is a frozenset of vertex ids.  Lists and collections are in
 canonical order: by size, then by sorted members.
 
 The enumeration follows the branch-on-a-min-cut-vertex recursion: compute the
-max-reach minimum separator of at most p vertices, pick its smallest vertex v,
-and recurse once with v added to the removed set (budget minus one; g itself
-is never copied) and once with the source side pushed past v.
+max-reach minimum separator S* of at most p vertices in G, g minus the removed
+set, keep S*, and for the i-th v of sorted(S*), from 0, recurse with the
+sources pushed past v, budget p - i and the i vertices before v also removed.
+That is the recursion that cuts or pushes min(S*), with its cut branches
+unrolled: S* - {v} is the max-reach minimum separator of G - v, as a smaller
+one plus v would beat |S*|, and a minimum T of G - v gives the minimum T + v
+of G, whose reach (T's in G - v) lies in R(S*), which is S* - {v}'s in G - v.
 The recursion over-approximates, so a candidate is dropped when another
 candidate of no larger size reaches every vertex it reaches from x.  This is
 exact: the recursion returns every important separator of size at most p,
@@ -74,13 +78,14 @@ def _impsep(
     s_star = min_vertex_separator(g, x, y, p, gone)
     if s_star is None:
         return set()
+    out = {s_star}
     if not s_star:
-        return {frozenset()}
-    v = min(s_star)  # fixed pivot for reproducible enumeration order
-    # 1 <= |s_star| <= p here, so the branch that cuts v has budget p - 1 >= 0
-    out = {s | {v} for s in _impsep(g, x, y, p - 1, gone | {v}, guard - 1)}
-    pushed = _reach(g, x, s_star | gone) | {v}
-    out |= _impsep(g, pushed, y, p, gone, guard - 1)
+        return out
+    reach = _reach(g, x, s_star | gone)
+    cut = frozenset()
+    for i, v in enumerate(sorted(s_star)):
+        out |= {s | cut for s in _impsep(g, reach | {v}, y, p - i, gone | cut, guard - i - 1)}
+        cut |= {v}
     return out
 
 

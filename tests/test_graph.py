@@ -207,13 +207,13 @@ def test_min_separator_matches_brute_force():
                 _check_min_separator(g, frozenset({x}), frozenset({y}))
 
 
-def test_min_separator_matches_brute_force_on_sets_and_hubs():
-    # the inputs _impsep passes: a pushed source side and a terminal set of
-    # several vertices, and a removed set.  In the hub graph every x-y path
-    # leaves x through the undeletable hub, so the hub carries all lambda units
-    hub_units = 0
-    for seed in range(120):
-        n = 7 + seed % 2
+def _sets_and_hubs(seeds, sizes):
+    """For each seed: a source set xs, terminal set ys and removed set, with
+    the seeded digraph on n = sizes[seed % len(sizes)] vertices and its hub
+    version, each also with loops and repeats, as (g, xs, ys, gone, via_hub).
+    In the hub graph every x-y path leaves x through the undeletable hub."""
+    for seed in seeds:
+        n = sizes[seed % len(sizes)]
         rng = SplitMix64(seed + 500)
         order = rng.sample(n, n)
         kx, ky = 1 + rng.below(3), 1 + rng.below(2)
@@ -234,9 +234,34 @@ def test_min_separator_matches_brute_force_on_sets_and_hubs():
         )
         for g, via_hub in ((plain, False), (with_loops_and_repeats(plain), False),
                            (hubbed, True), (with_loops_and_repeats(hubbed), True)):
-            lam = _check_min_separator(g, xs, ys, gone)
-            hub_units += via_hub and lam is not None and lam >= 2
+            yield g, xs, ys, gone, via_hub
+
+
+def test_min_separator_matches_brute_force_on_sets_and_hubs():
+    # the inputs _impsep passes: a pushed source side and a terminal set of
+    # several vertices, and a removed set.  The hub carries all lambda units
+    hub_units = 0
+    for g, xs, ys, gone, via_hub in _sets_and_hubs(range(120), (7, 8)):
+        lam = _check_min_separator(g, xs, ys, gone)
+        hub_units += via_hub and lam is not None and lam >= 2
     assert hub_units >= 50  # 102 of the 240 hub cases
+
+
+def test_min_separator_minus_a_cut_vertex():
+    # the fact behind _impsep's unrolled cut branches: deleting any v of the
+    # max-reach minimum separator S* leaves S* - {v} as the max-reach minimum
+    # separator, at every budget that admits it
+    checked = 0
+    for g, xs, ys, gone, _ in _sets_and_hubs(range(200, 320), (7, 8, 9)):
+        s_star = min_vertex_separator(g, xs, ys, g.vertex_count, gone)
+        if not s_star:
+            continue
+        lam = len(s_star)
+        for v in s_star:
+            for p in (lam, lam + 1):
+                assert min_vertex_separator(g, xs, ys, p - 1, gone | {v}) == s_star - {v}
+        checked += lam >= 2
+    assert checked >= 150  # 166 of the 480 cases
 
 
 def test_min_separator_value_matches_networkx():

@@ -63,7 +63,7 @@ def test_enumerate_edge_cases():
         enumerate_important(g, {1}, {2}, -1)
 
 
-def test_enumerate_matches_brute_force():
+def test_enumerate_matches_brute_force(monkeypatch):
     for seed in range(40):
         g = random_digraph(seed, 7, 0.3, 0.15)
         for x in range(7):
@@ -74,6 +74,34 @@ def test_enumerate_matches_brute_force():
                     fast = set(enumerate_important(g, {x}, {y}, p))
                     slow = set(brute_force_important(g, {x}, {y}, p))
                     assert fast == slow, (seed, x, y, p)
+    # source pairs, removed sets and budgets up to 4, so that a recursion node
+    # cuts three or more pivots of its separator in turn before a push
+    cut_sizes, real_flow = [], separators.min_vertex_separator
+
+    def flow(*args):
+        s_star = real_flow(*args)
+        cut_sizes.append(len(s_star or ()))
+        return s_star
+
+    monkeypatch.setattr(separators, "min_vertex_separator", flow)
+    rng = SplitMix64(28)
+    for seed in range(80):
+        n = 8 + seed % 2
+        order = rng.sample(n, n)
+        xs, ys = frozenset(order[:2]), frozenset(order[2:3 + seed % 2])
+        removed = frozenset(v for v in order[4:] if rng.below(5) == 0)
+        drawn = random_digraph(seed + 700, n, 0.5, 0.1)
+        # no x -> y edge, which no separator could cut
+        g = Digraph(
+            n, [(u, v) for u, v in drawn.edges if u not in xs or v not in ys], drawn.infinite
+        )
+        if seed % 2:
+            g = with_loops_and_repeats(g)
+        h = minus(g, removed)
+        for p in range(1, 5):
+            fast = enumerate_important(g, xs, ys, p, removed)
+            assert set(fast) == set(brute_force_important(h, xs, ys, p)), (seed, p)
+    assert sum(size >= 3 for size in cut_sizes) >= 40  # 48 nodes
 
 
 def test_one_flow_per_recursion_node(monkeypatch):
@@ -97,8 +125,14 @@ def test_one_flow_per_recursion_node(monkeypatch):
     for seed in range(10):
         h = random_digraph(seed, 8, 0.3, 0.15)
         cases += [(h, {x}, {(x + 1) % 8}, 1 + x % 3) for x in range(8)]
-    for case in cases:
-        enumerate_important(*case)
+    for g, x, y, p in cases:
+        start = len(flows)
+        enumerate_important(g, x, y, p)
+        # a cut branch keeps its parent's sources and so runs no flow: only
+        # the root flows on the caller's sources, every push on a superset
+        sources = [frozenset(args[1]) for args in flows[start:]]
+        assert sources[0] == frozenset(x)
+        assert all(s > sources[0] for s in sources[1:])
     assert len(nodes) > len(cases)
     assert len(flows) == len(nodes)
     # each node hands its own budget to its flow
