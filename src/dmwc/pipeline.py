@@ -7,7 +7,8 @@ family for the reversed graph where the chosen vertices have been made
 undeletable.  Each distinct combined choice z is removed by the torso
 reduction: one symmetric graph on the input's own vertex ids, with z left
 isolated.  The undirected sub-solver's cut of it needs no mapping back; the
-first answer (in family order) wins.
+first answer (in family order) wins.  The first choice is read off the graph
+and tried before any family is built.
 
 Before any family is built, a greedy packing of terminal paths answers NO
 when it holds q > budget paths, each from a terminal t to T - t, no two of

@@ -30,13 +30,19 @@ each z1 is the union of the shadows of the collection members inside its W,
 so it contains the shadow of the empty member whenever there is one.  A z1
 that does not contain z1_0 would be a solver bug, and `build_collection`
 raises RuntimeError for it.
+
+The first choice z0 = z1_0 | z2_0 needs no build.  The empty set is an
+important v-T separator exactly when v reaches no terminal (a flow of 0),
+so z1_0 is the set of vertices that reach no terminal.  The inner graph is
+reversed, and undeletables do not change reachability, so z2_0 is the set
+that no terminal reaches.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import Digraph, Instance
+from .graph import Digraph, Instance, _reach
 from .separators import build_collection, canonical_order
 
 
@@ -74,9 +80,18 @@ def _second_stage(inst: Instance, z1: frozenset[int]) -> Instance:
 
 def candidates(inst: Instance) -> Iterator[frozenset[int]]:
     """Each distinct combined choice z1 | z2 once, in family order: the torso
-    reduction depends only on the union.  The module docstring gives the
-    walk and its reuse."""
-    tried: set[frozenset[int]] = set()
+    reduction depends only on the union.  The first, z0, is read off the
+    graph before any collection is built.  The module docstring gives the
+    walk, its reuse and why z0 is its first choice."""
+    g, terms = inst.graph, inst.terminals
+    back, stack = set(terms), list(terms)  # the vertices that reach a terminal
+    while stack:
+        new = [u for u in g.pred[stack.pop()] if u not in back]
+        back.update(new)
+        stack += new
+    z0 = frozenset(g.vertices()) - (back & _reach(g, terms, frozenset()))
+    yield z0
+    tried = {z0}
     base = None
     for z1 in deterministic_sets(build_collection(inst), inst.budget):
         inner = _second_stage(inst, z1)

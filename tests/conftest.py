@@ -3,7 +3,7 @@
 from functools import cache
 from itertools import combinations
 
-from dmwc.graph import Digraph, min_vertex_separator, reachable_from
+from dmwc.graph import Digraph, min_vertex_separator, reachable_from, reverse
 from dmwc.oracle import brute_force_mwc, generate_instance
 from dmwc.pipeline import _packing_exceeds
 from dmwc.rng import SplitMix64
@@ -90,6 +90,14 @@ def walked_nos():
         inst for inst in shapes
         if not _packing_exceeds(inst) and brute_force_mwc(inst) is None
     )
+
+
+def first_candidate(inst):
+    """The walk's first candidate z0: every vertex that does not both reach a
+    terminal and get reached from one."""
+    g, ts = inst.graph, inst.terminals
+    both = reachable_from(reverse(g), ts) & reachable_from(g, ts)
+    return frozenset(g.vertices()) - both
 
 
 def family_of(inst):

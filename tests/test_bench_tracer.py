@@ -8,7 +8,6 @@ from pathlib import Path
 
 import dmwc
 import dmwc.fileformat  # noqa: F401  the bench imports the file reader itself
-from dmwc.fixtures import hub_fan
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -59,11 +58,12 @@ def test_every_exported_name_resolves():
 
 def test_spans_cover_every_layer_the_bench_reads():
     # bench/run.py reads these span names; pipeline.attempts counts
-    # torso.reduce_instance, one per undirected solve
+    # torso.reduce_instance, one per undirected solve; the walk's first
+    # candidate z0 does not solve this YES, so it builds collections
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        assert dmwc.solve_vertex(hub_fan(3, 2).instance) is not None
+        assert dmwc.solve_vertex(dmwc.generate_instance(17, 20, 2.5 / 20, 2, 2)) is not None
         dmwc.solve_edge(dmwc.generate_instance(3, 6, 0.3, 2, 1))
     finally:
         tracer.uninstall()

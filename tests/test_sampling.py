@@ -1,12 +1,16 @@
 from itertools import combinations
 
-from conftest import family_of, random_digraph, subsets_upto
+import pytest
+
+from conftest import (
+    family_of, first_candidate, random_digraph, subsets_upto, with_loops_and_repeats,
+)
 from dmwc import sampling
 from dmwc.fixtures import hub_fan
 from dmwc.graph import Digraph, Instance
 from dmwc.oracle import generate_instance
 from dmwc.pipeline import solve_vertex
-from dmwc.sampling import _second_stage, candidates
+from dmwc.sampling import _second_stage, candidates, deterministic_sets
 from dmwc.separators import build_collection
 from dmwc.shadows import is_thin, shadow
 
@@ -125,17 +129,66 @@ def test_one_collection_build_per_family(monkeypatch):
 
 
 def test_a_yes_builds_only_the_inner_families_it_reaches(monkeypatch):
-    # the walk stops at the candidate that solves the instance: one build for
-    # the outer family, then one per z1 reached, never one per outer z1
+    # the walk stops at the candidate that solves the instance: no build when
+    # z0 solves it (hub_fan), else one build for the outer family, then one
+    # per z1 reached, never one per outer z1
     cases = [hub_fan(3, 2).instance, generate_instance(17, 20, 2.5 / 20, 2, 2)]
     outer = [family_of(inst) for inst in cases]
     builds, reached = _count_builds(monkeypatch)
-    for inst, z1s, stop in zip(cases, outer, (1, 5)):
+    for inst, z1s, stop, built in zip(cases, outer, (0, 5), (0, 6)):
         builds.clear()
         reached.clear()
         assert solve_vertex(inst) is not None
         assert reached == list(z1s[:stop]) and len(z1s) > stop
-        assert len(builds) == 1 + stop
+        assert len(builds) == built
+
+
+def _walk_that_builds_first(inst):
+    """The walk with every collection built up front: the outer family, then
+    each z1's inner family on the first inner build as its base, each
+    distinct z1 | z2 once."""
+    tried, base, out = set(), None, []
+    for z1 in deterministic_sets(build_collection(inst), inst.budget):
+        inner = _second_stage(inst, z1)
+        shadows = build_collection(inner, base)
+        base = base or (inner, shadows)
+        for z2 in deterministic_sets(shadows, inst.budget):
+            if (z := z1 | z2) not in tried:
+                tried.add(z)
+                out.append(z)
+    return out
+
+
+def test_walk_matches_the_walk_that_builds_first():
+    # candidate for candidate the walk is the one that builds every
+    # collection first, and its first candidate is V - (A & B): A reaches a
+    # terminal, B is reached from one
+    nonempty = longer = 0
+    for i in range(200):
+        n = 4 + i % 8
+        inst = generate_instance(
+            9100 + i, n, 0.15 + 0.05 * (i % 4), min(1 + i % 3, n), i % 4,
+            0.2 if i % 4 == 3 else 0.0,
+        )
+        if i % 3 == 0:
+            inst = Instance(with_loops_and_repeats(inst.graph), inst.terminals, inst.budget)
+        walk = list(candidates(inst))
+        assert walk == _walk_that_builds_first(inst), i
+        assert walk[0] == first_candidate(inst), i
+        nonempty += bool(walk[0])
+        longer += len(walk) > 1
+    assert nonempty >= 100 and longer >= 50
+
+
+def test_a_yes_that_z0_solves_builds_nothing(monkeypatch):
+    def no_build(inst, base=None):
+        raise AssertionError("build_collection called")
+
+    monkeypatch.setattr(sampling, "build_collection", no_build)
+    fx = hub_fan(3, 2)
+    assert solve_vertex(fx.instance) is not None
+    with pytest.raises(AssertionError, match="build_collection called"):
+        list(candidates(fx.instance))
 
 
 def _coverage_pairs(inst):
