@@ -9,7 +9,9 @@
     inf <id>          (extra distinguished vertex)
     e <u> <v>         (one per edge, multiplicity by repetition)
 
-Every integer, here and in CLI options, is ASCII digits after at most one '-'.
+Lines end at LF, CR LF or CR only.  Every integer, here and in CLI options, is
+ASCII digits after at most one '-'.  Parsing tracks no positions: a token's line
+and column are worked out only for a `FormatError`.
 For the vertex and edge kinds the terminals are implicitly distinguished;
 `inf` lines add further undeletable vertices.  Serialization is canonical
 (header, n, p, sorted terminals/pairs, sorted extra inf, edges in stored
@@ -70,11 +72,9 @@ def _integer(token: str) -> int:
     return int(token)
 
 
-def _int_token(token: str, line_no: int, column: int) -> int:
-    try:
-        return _integer(token)
-    except ValueError:
-        raise FormatError(f"expected an integer, got {token!r}", line_no, column)
+def _error(message: str, line_no: int, line: str, index: int) -> FormatError:
+    """The error at the index-th token of a line, whose column is found only here."""
+    return FormatError(message, line_no, [m.start() for m in _TOKEN.finditer(line)][index] + 1)
 
 
 def parse(text: str) -> ProblemFile:
@@ -85,99 +85,77 @@ def parse(text: str) -> ProblemFile:
     pairs: list[tuple[int, int]] = []
     extra_inf: list[int] = []
     edges: list[tuple[int, int]] = []
-    # every vertex id with its (line, column), range-checked once n is known
-    placed: list[tuple[int, int, int]] = []
+    lists = {"t": terminals, "inf": extra_inf, "pair": pairs, "e": edges}
+    # (line number, line, ids) per line naming vertex ids, checked once n is known
+    placed: list[tuple[int, str, list[int]]] = []
 
-    def vertex_id(token: str, line_no: int, column: int) -> int:
-        v = _int_token(token, line_no, column)
-        placed.append((v, line_no, column))
-        return v
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        found = list(_TOKEN.finditer(raw.split("#", 1)[0]))
-        if not found:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        tokens = [m.group() for m in found]
-        columns = [m.start() + 1 for m in found]
         key, args = tokens[0], tokens[1:]
-        if kind is None and key != "dmwc":
-            raise FormatError("file must start with a 'dmwc <kind>' header", line_no, columns[0])
-        if kind is not None and key == "dmwc":
-            raise FormatError("duplicate 'dmwc' header", line_no, columns[0])
         count = _ARITY.get(key)
-        if count is None:
-            raise FormatError(f"unknown directive {key!r}", line_no, columns[0])
-        if len(args) != count:
-            raise FormatError(
-                f"directive {key!r} takes {count} argument(s), got {len(args)}",
-                line_no,
-                columns[0],
-            )
+        fault = None
+        if kind is None and key != "dmwc":
+            fault = "file must start with a 'dmwc <kind>' header"
+        elif kind is not None and key == "dmwc":
+            fault = "duplicate 'dmwc' header"
+        elif count is None:
+            fault = f"unknown directive {key!r}"
+        elif len(args) != count:
+            fault = f"directive {key!r} takes {count} argument(s), got {len(args)}"
+        elif key == "n" and n is not None or key == "p" and budget is not None:
+            fault = f"duplicate {key!r} line"
+        elif key == "t" and kind == "multicut2":
+            fault = "'t' lines are not valid in multicut2 files"
+        elif key == "pair" and kind != "multicut2":
+            fault = "'pair' lines require the multicut2 kind"
+        elif key == "pair" and len(pairs) == 2:
+            fault = _TWO_PAIRS
+        if fault is not None:
+            raise _error(fault, line_no, line, 0)
 
         if key == "dmwc":
             if args[0] not in KINDS:
-                raise FormatError(f"unknown problem kind {args[0]!r}", line_no, columns[1])
+                raise _error(f"unknown problem kind {args[0]!r}", line_no, line, 1)
             kind = args[0]
-        elif key == "n":
-            if n is not None:
-                raise FormatError("duplicate 'n' line", line_no, columns[0])
-            n = _int_token(args[0], line_no, columns[1])
-            if n < 0:
-                raise FormatError("vertex count must be non-negative", line_no, columns[1])
-            if n > MAX_VERTICES:
-                raise FormatError(
-                    f"vertex count {n} exceeds the limit {MAX_VERTICES}", line_no, columns[1]
-                )
+            continue
+        ids = []
+        for index, token in enumerate(args, start=1):
+            try:
+                ids.append(_integer(token))
+            except ValueError:
+                raise _error(f"expected an integer, got {token!r}", line_no, line, index)
+        if key == "n":
+            n = ids[0]
         elif key == "p":
-            if budget is not None:
-                raise FormatError("duplicate 'p' line", line_no, columns[0])
-            budget = _int_token(args[0], line_no, columns[1])
-            if budget < 0:
-                raise FormatError("budget must be non-negative", line_no, columns[1])
-        elif key == "t":
-            if kind == "multicut2":
-                raise FormatError("'t' lines are not valid in multicut2 files", line_no, columns[0])
-            terminals.append(vertex_id(args[0], line_no, columns[1]))
-        elif key == "pair":
-            if kind != "multicut2":
-                raise FormatError("'pair' lines require the multicut2 kind", line_no, columns[0])
-            if len(pairs) == 2:
-                raise FormatError(_TWO_PAIRS, line_no, columns[0])
-            pairs.append(
-                (
-                    vertex_id(args[0], line_no, columns[1]),
-                    vertex_id(args[1], line_no, columns[2]),
-                )
-            )
-        elif key == "inf":
-            extra_inf.append(vertex_id(args[0], line_no, columns[1]))
-        else:  # "e"
-            edges.append(
-                (
-                    vertex_id(args[0], line_no, columns[1]),
-                    vertex_id(args[1], line_no, columns[2]),
-                )
-            )
+            budget = ids[0]
+        else:
+            placed.append((line_no, line, ids))
+            lists[key].append(ids[0] if count == 1 else tuple(ids))
+        if key == "n" and n < 0:
+            raise _error("vertex count must be non-negative", line_no, line, 1)
+        if key == "n" and n > MAX_VERTICES:
+            raise _error(f"vertex count {n} exceeds the limit {MAX_VERTICES}", line_no, line, 1)
+        if key == "p" and budget < 0:
+            raise _error("budget must be non-negative", line_no, line, 1)
 
-    if kind is None:
-        raise FormatError("missing 'dmwc <kind>' header", 1)
-    if n is None:
-        raise FormatError("missing 'n' line", 1)
-    if budget is None:
-        raise FormatError("missing 'p' line", 1)
-    if kind == "multicut2":
-        if len(pairs) != 2:
-            raise FormatError(_TWO_PAIRS, 1)
-    elif not terminals:
+    for value, what in ((kind, "'dmwc <kind>' header"), (n, "'n' line"), (budget, "'p' line")):
+        if value is None:
+            raise FormatError(f"missing {what}", 1)
+    if kind == "multicut2" and len(pairs) != 2:
+        raise FormatError(_TWO_PAIRS, 1)
+    if kind != "multicut2" and not terminals:
         raise FormatError(f"{kind} files need 't' lines", 1)
 
-    infinite = set(extra_inf)
-    if kind != "multicut2":
-        infinite |= set(terminals)
-    for v, line_no, column in placed:
-        if not 0 <= v < n:
-            raise FormatError(f"vertex id {v} out of range 0..{n - 1}", line_no, column)
-    graph = Digraph(n, edges, infinite)
+    for line_no, line, ids in placed:
+        for index, v in enumerate(ids, start=1):
+            if not 0 <= v < n:
+                raise _error(f"vertex id {v} out of range 0..{n - 1}", line_no, line, index)
+    # terminals are undeletable; multicut2 files have none
+    graph = Digraph(n, edges, extra_inf + terminals)
     return ProblemFile(
         kind,
         graph,

@@ -110,6 +110,68 @@ def test_out_of_range_ids_carry_their_position():
     # ids before a late 'n' line are checked against it at their own line
     err = _fails_at("dmwc vertex\nt 5\nn 3\np 1\n", 2)
     assert err.column == 3
+    # every id slot, behind leading spaces and before a trailing comment
+    vertex = "dmwc vertex\nn 3\np 1\nt 0\n"
+    pairs = "dmwc multicut2\nn 3\np 1\npair 0 1\n"
+    for text, line, column in [
+        ("dmwc vertex\nn 3\np 1\nt 0\n   t  3 # t 0\n", 5, 7),
+        (vertex + "  inf\t-1  # inf 0\n", 5, 7),
+        (pairs + " pair  9 2 # pair 0 2\n", 5, 8),
+        (pairs + "  pair 2  5# pair 2 0\n", 5, 11),
+        (vertex + "e 0 1\n    e 4 1 # e 0 1\n", 6, 7),
+        (vertex + "e 0 1\n\te 1   3 # e 1 0\n", 6, 8),
+    ]:
+        err = _fails_at(text, line)
+        assert err.column == column
+        assert "out of range 0..2" in str(err)
+
+
+def test_the_first_fault_is_reported():
+    # each line's checks run in order: the directive, then its ids left to right
+    err = _fails_at("dmwc vertex\nn 3\np x\nbogus 1\ne 0 9\n", 3)
+    assert err.column == 3
+    assert "expected an integer, got 'x'" in str(err)
+    err = _fails_at("dmwc vertex\nn 3\np 1\nt 0\ne y z\ne 0\n", 5)
+    assert err.column == 3
+    assert "got 'y'" in str(err)
+    # a structural fault beats an earlier out-of-range id, which waits for 'n'
+    err = _fails_at("dmwc vertex\nt 7\nn 3\np 1\ne x 1\n", 5)
+    assert err.column == 3
+    # so does a missing 'p' line, found only at the end of the file
+    err = _fails_at("dmwc vertex\nn 3\nt 7\n", 1)
+    assert "missing 'p' line" in str(err)
+    # a repeated 'n' is reported before its argument is read
+    err = _fails_at("dmwc vertex\nn 3\nn x\n", 3)
+    assert err.column == 1
+    assert "duplicate 'n' line" in str(err)
+    # and a 'pair' in the wrong kind before its ids are
+    err = _fails_at("dmwc vertex\nn 3\np 1\nt 0\npair x y\n", 5)
+    assert err.column == 1
+    assert "'pair' lines require the multicut2 kind" in str(err)
+
+
+BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", BREAKS)
+def test_lines_end_only_at_line_feeds_and_carriage_returns(char):
+    # str.splitlines() would also end a line at these, so text inside a
+    # comment would be read as a directive and later line numbers would drift
+    pf = parse(f"dmwc vertex\nn 3\np 1\nt 0\nt 1  # x{char}e 0 1\n")
+    assert pf.graph.edges == ()
+    err = _fails_at(f"dmwc vertex\nn 3\np 1\nt 0{char}\nt 7\n", 5)
+    assert err.column == 3
+    # inside a line they separate tokens like any other whitespace
+    err = _fails_at(f"dmwc vertex\nn 3{char}p 1\nt 0\nt 7\n", 2)
+    assert "directive 'n' takes 1 argument(s), got 3" in str(err)
+
+
+def test_crlf_and_cr_files_parse():
+    text = "dmwc vertex\nn 3\np 1\nt 0\nt 1 # end\ne 0 2\ne 2 1\n"
+    for newline in ("\r\n", "\r"):
+        assert parse(text.replace("\n", newline)) == parse(text)
+        err = _fails_at(text.replace("\n", newline) + "e 0 7" + newline, 8)
+        assert err.column == 5
 
 
 def test_multicut2_takes_exactly_two_pairs():
