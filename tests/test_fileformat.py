@@ -114,7 +114,7 @@ def test_out_of_range_ids_carry_their_position():
     vertex = "dmwc vertex\nn 3\np 1\nt 0\n"
     pairs = "dmwc multicut2\nn 3\np 1\npair 0 1\n"
     for text, line, column in [
-        ("dmwc vertex\nn 3\np 1\nt 0\n   t  3 # t 0\n", 5, 7),
+        (vertex + "   t  3 # t 0\n", 5, 7),
         (vertex + "  inf\t-1  # inf 0\n", 5, 7),
         (pairs + " pair  9 2 # pair 0 2\n", 5, 8),
         (pairs + "  pair 2  5# pair 2 0\n", 5, 11),
@@ -150,10 +150,9 @@ def test_the_first_fault_is_reported():
     assert "'pair' lines require the multicut2 kind" in str(err)
 
 
-BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-
-
-@pytest.mark.parametrize("char", BREAKS)
+@pytest.mark.parametrize(
+    "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
 def test_lines_end_only_at_line_feeds_and_carriage_returns(char):
     # str.splitlines() would also end a line at these, so text inside a
     # comment would be read as a directive and later line numbers would drift
