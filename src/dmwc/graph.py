@@ -108,7 +108,7 @@ def reachable_from(
     g: Digraph, sources: Iterable[int], removed: Iterable[int] = ()
 ) -> frozenset[int]:
     """Vertices reachable from `sources` in g minus `removed`, sources included."""
-    return _reach(g, *_check_sources(g, sources, removed))
+    return _reach(g.succ, *_check_sources(g, sources, removed))
 
 
 def _check_sources(
@@ -120,14 +120,17 @@ def _check_sources(
     return src, gone
 
 
-def _reach(g: Digraph, src: frozenset[int], gone: frozenset[int]) -> frozenset[int]:
-    """`reachable_from` without its checks: the caller has already checked the ids."""
-    succ = g.succ
+def _reach(
+    adj: tuple[tuple[int, ...], ...], src: frozenset[int], gone: frozenset[int]
+) -> frozenset[int]:
+    """`reachable_from` without its checks, along `adj`: a graph's `succ`, or
+    its `pred` for the vertices that reach `src`.  The caller has already
+    checked the ids."""
     seen = set(src)
     queue = deque(src)
     while queue:
         u = queue.popleft()
-        for w in succ[u]:
+        for w in adj[u]:
             if w not in seen and w not in gone:
                 seen.add(w)
                 queue.append(w)
@@ -141,7 +144,7 @@ def connected_terminal(
     None when `removed` is a multiway cut."""
     terms, gone = _check_sources(g, terminals, removed)
     for t in sorted(terms):
-        if _reach(g, frozenset({t}), gone) & (terms - {t}):
+        if _reach(g.succ, frozenset({t}), gone) & (terms - {t}):
             return t
     return None
 
@@ -196,10 +199,11 @@ def _max_flow(
     """`min_vertex_separator` without its checks, which also returns the flow:
     None, or (separator, through) where through[v] is the flow on v's split
     arc.  The deletable vertices with through[v] > 0 carry the lambda paths,
-    no two of which share one."""
+    no two of which share one.  An empty `ys` gives (empty set, all zeros),
+    as there is no sink to reach."""
     cuttable = g.deletable.difference(xs, ys, gone)
     # settle "no finite separator" in one search, not the loop's p + 1
-    if _reach(g, xs, cuttable | gone) & ys:
+    if _reach(g.succ, xs, cuttable | gone) & ys:
         return None
 
     succ, pred = g.succ, g.pred

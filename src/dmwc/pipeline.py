@@ -100,8 +100,6 @@ def _packing_exceeds(inst: Instance) -> bool:
     which share a deletable vertex, so no cut exists (the module docstring
     gives the packing and the orders it tries)."""
     g, ts, p = inst.graph, inst.terminals, inst.budget
-    if len(ts) == 1:
-        return False
     first = {}
     for t in sorted(ts):
         found = _max_flow(g, frozenset({t}), ts - {t}, p, frozenset())
@@ -115,10 +113,9 @@ def _packing_exceeds(inst: Instance) -> bool:
         tuple(r[i:] + r[:i]) for r in (ring, ring[::-1]) for i in range(len(r))
     )
     for order in orders:
-        sep, through = first[order[0]]
-        total, gone = len(sep), frozenset(v for v in g.deletable if through[v])
-        for t in order[1:]:
-            found = _max_flow(g, frozenset({t}), ts - {t}, p - total, gone)
+        total, gone = 0, frozenset()
+        for i, t in enumerate(order):
+            found = _max_flow(g, frozenset({t}), ts - {t}, p - total, gone) if i else first[t]
             if found is None:
                 return True
             sep, through = found

@@ -83,15 +83,11 @@ def candidates(inst: Instance) -> Iterator[frozenset[int]]:
     reduction depends only on the union.  The first, z0, is read off the
     graph before any collection is built.  The module docstring gives the
     walk, its reuse and why z0 is its first choice."""
-    g, terms = inst.graph, inst.terminals
-    back, stack = set(terms), list(terms)  # the vertices that reach a terminal
-    while stack:
-        new = [u for u in g.pred[stack.pop()] if u not in back]
-        back.update(new)
-        stack += new
-    z0 = frozenset(g.vertices()) - (back & _reach(g, terms, frozenset()))
+    g, terms, none = inst.graph, inst.terminals, frozenset()
+    z0 = frozenset(g.vertices()) - (_reach(g.pred, terms, none) & _reach(g.succ, terms, none))
     yield z0
-    tried = {z0}
+    # each tried z as an int with bit v set, far smaller than a frozenset
+    tried = {sum(1 << v for v in z0)}
     base = None
     for z1 in deterministic_sets(build_collection(inst), inst.budget):
         inner = _second_stage(inst, z1)
@@ -99,6 +95,6 @@ def candidates(inst: Instance) -> Iterator[frozenset[int]]:
         base = base or (inner, shadows)
         for z2 in deterministic_sets(shadows, inst.budget):
             z = z1 | z2
-            if z not in tried:
-                tried.add(z)
+            if (bits := sum(1 << v for v in z)) not in tried:
+                tried.add(bits)
                 yield z

@@ -20,6 +20,17 @@ non-minimal or non-important candidate loses to some candidate, while an
 important one never does.  The definitional checks (`is_important`,
 `is_minimal_separator`) live in `shadows` as references for the tests.
 
+The filter runs no search: each node returns its candidates with the
+reaches it computed.  R(S), the set that the caller's sources x reach in G
+minus S, depends only on S.  A node searches once, from its own sources
+past S*, and its push child for v gets the sources R(S*) + v.  Every
+separator S that the child's subtree returns avoids those sources, the
+pivots before v and the removed set, and x reaches all of R(S*) + v inside
+that set (v has an in-neighbour in R(S*), as S* is minimal).  So the
+child's sources and x reach the same vertices once S and those pivots are
+removed, and by induction the reach computed for S is R of the candidate
+that the node returns, S plus those pivots.
+
 `build_collection` can reuse an earlier build, the base, of the same graph,
 terminals and budget under a smaller undeletable set U0.  Let U be the
 larger set, A = U - U0, and fix a witness v none of whose important v-T
@@ -58,33 +69,28 @@ def enumerate_important(
     xs, ys, gone = frozenset(x), frozenset(y), frozenset(removed)
     if p < 0:
         raise ValueError("budget must be non-negative")
-    candidates = _impsep(g, xs, ys, p, gone, 2 * p + 1)
-    # candidates exist only after the first flow call has checked xs and gone
-    reach = {s: _reach(g, xs, s | gone) for s in candidates}
+    reach = _impsep(g, xs, ys, p, gone, 2 * p + 1)
     return [
-        s for s in sorted(candidates, key=canonical_order)
-        if not any(
-            t != s and len(t) <= len(s) and reach[t] >= reach[s] for t in candidates
-        )
+        s for s in sorted(reach, key=canonical_order)
+        if not any(t != s and len(t) <= len(s) and reach[t] >= reach[s] for t in reach)
     ]
 
 
 def _impsep(
     g: Digraph, x: frozenset[int], y: frozenset[int], p: int, gone: frozenset[int],
     guard: int,
-) -> set[frozenset[int]]:
+) -> dict[frozenset[int], frozenset[int]]:
     if guard < 0:
         raise RuntimeError("important-separator recursion exceeded depth bound")
     s_star = min_vertex_separator(g, x, y, p, gone)
     if s_star is None:
-        return set()
-    out = {s_star}
-    if not s_star:
-        return out
-    reach = _reach(g, x, s_star | gone)
+        return {}
+    reach = _reach(g.succ, x, s_star | gone)
+    out = {s_star: reach}
     cut = frozenset()
     for i, v in enumerate(sorted(s_star)):
-        out |= {s | cut for s in _impsep(g, reach | {v}, y, p - i, gone | cut, guard - i - 1)}
+        sub = _impsep(g, reach | {v}, y, p - i, gone | cut, guard - i - 1)
+        out |= {s | cut: r for s, r in sub.items()}
         cut |= {v}
     return out
 

@@ -65,6 +65,14 @@ def test_solver_bug_exits_4_in_every_subcommand(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "cut extraction" in captured.err
+    # the important-separator recursion's depth guard, with a flow that
+    # returns the same separator at every node
+    monkeypatch.undo()
+    monkeypatch.setattr("dmwc.separators.min_vertex_separator", lambda *args: frozenset({1}))
+    assert main(["enumerate-seps", str(path), "--source", "0", "--target", "2", "--budget", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: important-separator recursion exceeded depth bound\n"
 
 
 def test_solve_stdin(two_cycle_file, capsys, monkeypatch):

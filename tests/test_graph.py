@@ -91,9 +91,11 @@ def test_out_neighborhood():
 def test_reverse():
     g = Digraph(2, [(0, 1)])
     assert reverse(g).edges == ((1, 0),)
+    assert repr(reverse(Digraph(3, [(0, 1)], {2, 0}))) == "Digraph(n=3, m=1, infinite=[0, 2])"
     for seed in range(20):
         h = random_digraph(seed, 6, 0.4, 0.2)
         assert reverse(reverse(h)) == h
+        assert hash(reverse(reverse(h))) == hash(h)
     fx = hub_fan(3, 2)
     rev = reverse(fx.instance.graph)
     assert (fx.t(1), fx.a(2)) in rev.edges

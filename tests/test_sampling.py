@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -178,6 +179,21 @@ def test_walk_matches_the_walk_that_builds_first():
         nonempty += bool(walk[0])
         longer += len(walk) > 1
     assert nonempty >= 100 and longer >= 50
+
+
+def test_the_walk_memo_stays_small():
+    # the memo keeps each tried z as an int with bit v set; this walk's traced
+    # peak was 0.95 MB with those ints and 4.84 MB with a frozenset per z, so
+    # the bound is 2.1 times the first and under half the second
+    inst = generate_instance(26, 40, 3.0 / 40, 3, 4)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in candidates(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 8187
+    assert peak < 2_000_000, peak
 
 
 def test_a_yes_that_z0_solves_builds_nothing(monkeypatch):

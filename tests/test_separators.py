@@ -101,7 +101,20 @@ def test_enumerate_matches_brute_force(monkeypatch):
         for p in range(1, 5):
             fast = enumerate_important(g, xs, ys, p, removed)
             assert set(fast) == set(brute_force_important(h, xs, ys, p)), (seed, p)
+            # the reach the recursion returns with each candidate is its own
+            nodes = len(cut_sizes)
+            for s, reach in separators._impsep(g, xs, ys, p, removed, 2 * p + 1).items():
+                assert reach == reachable_from(g, xs, s | removed), (seed, p, s)
+            del cut_sizes[nodes:]  # so each node counts once below
     assert sum(size >= 3 for size in cut_sizes) >= 40  # 48 nodes
+
+
+def test_recursion_stops_at_its_depth_bound(monkeypatch):
+    # a flow that returns the same separator at every node never runs out of
+    # budget, so only the depth guard ends the pushes
+    monkeypatch.setattr(separators, "min_vertex_separator", lambda *args: frozenset({1}))
+    with pytest.raises(RuntimeError, match="exceeded depth bound"):
+        enumerate_important(PATH, {0}, {3}, 1)
 
 
 def test_one_flow_per_recursion_node(monkeypatch):
