@@ -171,12 +171,13 @@ def min_vertex_separator(
     Removed vertices are never entered, so they never carry flow or join the
     separator, and self-loops lie on no path.  Each augmenting path is found
     by a search backward along residual arcs from the sinks y_in to a source
-    x_out.  The loop runs at most min(p, |cuttable|) + 1 searches (a finite
-    flow saturates distinct unit arcs, so lambda <= |cuttable|) and returns
-    None once the value passes that bound.  Otherwise it ends at a search
-    that finds no source, which sees exactly the nodes with a residual path
-    into the sink side.  The unique max-reach minimum separator is the set
-    of cuttable v whose v_out it saw and whose v_in it did not.
+    x_out.  The loop returns None once the value passes p, after at most
+    p + 1 searches, and otherwise ends at a search that finds no source,
+    which sees exactly the nodes with a residual path into the sink side.
+    It needs no bound but p: a first search rules out an x-to-y path through
+    undeletable vertices alone, so the cuttable vertices separate x from y
+    and lambda <= |cuttable|.  The unique max-reach minimum separator is the
+    set of cuttable v whose v_out it saw and whose v_in it did not.
 
     Returns the separator, whose size is lambda, or None when no separator of
     at most p vertices exists: lambda > p, p < 0, or an x-to-y path through
@@ -210,7 +211,7 @@ def _max_flow(
     through = [0] * g.vertex_count
     arc: dict[tuple[int, int], int] = {}
     value = 0
-    while value <= min(p, len(cuttable)):
+    while value <= p:
         # nxt[a] is the node after a on a residual path into the sink side:
         # -1 at a sink, -2 while a is unseen
         nxt = [-2] * (2 * g.vertex_count)
@@ -255,7 +256,7 @@ def _max_flow(
                 arc[b >> 1, a >> 1] -= 1
             a = b
         value += 1
-    else:  # lambda > min(p, len(cuttable)): no separator of at most p vertices
+    else:  # lambda > p: no separator of at most p vertices
         return None
 
     separator = frozenset(

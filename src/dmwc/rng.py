@@ -32,11 +32,15 @@ class SplitMix64:
         return self.next_u64() >> 63 == 1
 
     def unit(self) -> float:
-        """Uniform float in [0, 1)."""
+        """The next output x as the double x / 2^64: nearly uniform, in
+        [0, 1] rather than [0, 1), as x / 2^64 rounds up to 1.0 for the
+        1,024 largest outputs (x >= 2^64 - 1024).  Seeded streams depend on
+        this rounding, so it stays."""
         return self.next_u64() / float(1 << 64)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
+        """An integer in [0, bound): the next output modulo `bound`.  Nearly
+        uniform: the modulo's bias is at most bound / 2^64."""
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound

@@ -3,6 +3,8 @@ important terminal separators over the symmetric digraph."""
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .graph import Instance, connected_terminal
 from .separators import canonical_order, enumerate_important
 
@@ -13,26 +15,20 @@ def solve_undirected(inst: Instance) -> frozenset[int] | None:
 
     Branches on the important t-(T minus t) separators of a still-connected
     terminal t; some optimum cut always contains one of them, so exploring
-    every branch is complete.  Returns the lexicographically smallest cut of
-    minimum size among those found, which makes the output deterministic.
+    every branch is complete.  Only the cuts the branching reaches compete:
+    the result is the canonically least of them (smallest, then
+    lexicographically smallest), which makes the output deterministic but
+    need not be the lexicographically least minimum cut of the graph.
     """
     g, terminals, budget = inst.graph, inst.terminals, inst.budget
-    best: frozenset[int] | None = None
 
-    def rec(acc: frozenset[int]) -> None:
+    def cuts(acc: frozenset[int]) -> Iterator[frozenset[int]]:
         # the state is the cut so far: g minus acc, with budget - |acc| left
-        nonlocal best
-        if best is not None and len(acc) > len(best):
-            return
         t = connected_terminal(g, terminals, acc)
         if t is None:
-            if best is None or canonical_order(acc) < canonical_order(best):
-                best = acc
-            return
-        if len(acc) == budget:
-            return
-        for sep in enumerate_important(g, {t}, terminals - {t}, budget - len(acc), acc):
-            rec(acc | sep)
+            yield acc
+        elif len(acc) < budget:
+            for sep in enumerate_important(g, {t}, terminals - {t}, budget - len(acc), acc):
+                yield from cuts(acc | sep)
 
-    rec(frozenset())
-    return best
+    return min(cuts(frozenset()), key=canonical_order, default=None)

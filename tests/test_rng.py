@@ -50,3 +50,23 @@ def test_sample_distinct_and_deterministic():
         pass
     else:
         raise AssertionError("oversampling must fail")
+
+
+class _Fixed(SplitMix64):
+    """A stream stubbed to return one given output forever."""
+
+    __slots__ = ("_x",)
+
+    def __init__(self, x):
+        super().__init__(0)
+        self._x = x
+
+    def next_u64(self):
+        return self._x
+
+
+def test_unit_reaches_one_at_the_top_of_the_stream():
+    # x / 2^64 rounds to 1.0 in double precision for the 1,024 largest outputs
+    assert _Fixed((1 << 64) - 1).unit() == 1.0
+    assert _Fixed((1 << 64) - 1024).unit() == 1.0
+    assert _Fixed((1 << 64) - 1025).unit() < 1.0

@@ -1,6 +1,9 @@
+import pytest
+
 from conftest import random_digraph, symmetric
 from dmwc.graph import Digraph, Instance, reachable_from
 from dmwc.oracle import brute_force_mwc
+from dmwc.rng import SplitMix64
 from dmwc.undirected import solve_undirected
 
 
@@ -42,6 +45,50 @@ def test_matches_exhaustive_search():
         got = solve_undirected(inst)
         assert got == brute_force_mwc(inst), seed
         assert got is None or _feasible(inst, got), seed
+
+
+# Seeds where the returned cut, the canonically least cut the branching
+# reaches, is not brute force's lexicographically least minimum cut, which
+# the branching never reaches: (returned, brute force).
+_UNREACHED = {
+    False: {264: ({5, 9}, {2, 8}), 297: ({2, 7}, {2, 4}), 528: ({5, 6, 8}, {3, 5, 8})},
+    True: {
+        129: ({3, 8, 9}, {3, 7, 9}), 198: ({3, 4, 6}, {2, 4, 5}),
+        264: ({5, 9}, {2, 8}), 297: ({2, 7}, {2, 4}),
+        448: ({4, 7, 8}, {3, 4, 8}), 489: ({4, 5, 6}, {3, 4, 6}),
+        517: ({5, 6}, {3, 5}), 528: ({5, 6, 8}, {3, 5, 8}),
+        589: ({3, 5, 6, 8}, {3, 5, 6, 7}), 597: ({6}, {5}),
+    },
+}
+
+
+@pytest.mark.parametrize("apart", [False, True], ids=["joined", "apart"])
+def test_four_terminals_and_undeletable_non_terminals_match_brute_force(apart):
+    # k = 2..4 terminals, and each non-terminal undeletable with odds 1/6;
+    # an edge that joins two terminals makes a NO with no branching, so with
+    # such edges kept (joined) no k = 4 seed is a YES, and with them dropped
+    # (apart) 12 k = 4 YES seeds have an undeletable non-terminal
+    differ = {}
+    four_with_extra = 0
+    for s in range(600):
+        n, k = 6 + s % 5, 2 + s % 3
+        g = symmetric(random_digraph(10_000 + s, n, 0.25 + 0.05 * (s % 4)))
+        rng = SplitMix64(s)
+        terms = frozenset(range(k))
+        extra = {v for v in range(k, n) if rng.below(6) == 0}
+        edges = [(u, v) for u, v in g.edges if not (apart and {u, v} <= terms)]
+        inst = Instance(Digraph(n, edges, terms | extra), terms, s % 5)
+        got, want = solve_undirected(inst), brute_force_mwc(inst)
+        assert (got is None) == (want is None), s
+        if got is None:
+            continue
+        assert _feasible(inst, got), s
+        assert len(got) == len(want), s
+        if got != want:
+            differ[s] = (set(got), set(want))
+        four_with_extra += k == 4 and bool(extra)
+    assert differ == _UNREACHED[apart]
+    assert four_with_extra == (12 if apart else 0)
 
 
 def test_respects_distinguished_vertices():
